@@ -9,7 +9,7 @@
      Fig. 9  — sub-DAG sharing across MPI configurations
      Fig. 10 — simulated build time: wrappers x filesystem
      Fig. 11 — overhead percentages vs the paper's measurements
-     ablation — greedy vs backtracking concretization
+     ablation — greedy vs the clause backend (--concretizer clauses)
      micro    — bechamel micro-benchmarks of the hot paths
 
    Absolute times for Fig. 10/11 come from the calibrated build simulator
@@ -25,6 +25,8 @@ module Constraint_ops = Ospack_spec.Constraint_ops
 module Repository = Ospack_package.Repository
 module Config = Ospack_config.Config
 module Concretizer = Ospack_concretize.Concretizer
+module Backends = Ospack_concretize.Backends
+module I = Ospack_concretize.Concretizer_intf
 module Layout = Ospack_layout.Layout
 module Fsmodel = Ospack_buildsim.Fsmodel
 module Vfs = Ospack_vfs.Vfs
@@ -346,7 +348,9 @@ let fig11 times =
 (* ------------------------------------------------------------------ *)
 
 let ablation () =
-  section "Ablation: greedy vs backtracking concretization (§4.5)";
+  section "Ablation: greedy vs the clause backend (§4.5)";
+  (* n providers of one interface, only the last of which is compatible
+     with the root's leafdep@2.0: greedy takes the first and dead-ends *)
   let family n =
     let open Ospack_package.Package in
     let providers =
@@ -367,32 +371,31 @@ let ablation () =
             [ version "1.0"; depends_on "iface"; depends_on "leafdep@2.0" ];
         ])
   in
-  Printf.printf "%-12s %-10s %-14s %s\n" "providers" "greedy" "backtracking"
+  Printf.printf "%-12s %-10s %-10s %s\n" "providers" "greedy" "clauses"
     "greedy runs used";
   List.iter
     (fun n ->
       let ctx = Concretizer.make_ctx ~compilers:Universe.compilers (family n) in
       let ast = Parser.parse_exn "top" in
       let greedy = Result.is_ok (Concretizer.concretize ctx ast) in
-      let bt, dt =
-        time_it (fun () -> Concretizer.concretize_backtracking ctx ast)
+      let outcome, dt =
+        time_it (fun () -> Backends.solve_full Backends.Clauses ctx ast)
       in
-      Printf.printf "%-12d %-10s %-14s %d runs, %.2f ms\n" n
+      Printf.printf "%-12d %-10s %-10s %d runs, %.2f ms\n" n
         (if greedy then "ok" else "conflict")
-        (if Result.is_ok bt then "ok" else "fail")
-        (Concretizer.last_run_count ())
-        (1000.0 *. dt))
+        (if Result.is_ok outcome.I.oc_result then "ok" else "fail")
+        outcome.I.oc_stats.I.st_runs (1000.0 *. dt))
     [ 2; 4; 8; 16 ];
   let ctx = universe_ctx () in
   let ast = Parser.parse_exn "ares" in
   let _, greedy_t = time_it (fun () -> Concretizer.concretize ctx ast) in
-  let _, bt_t =
-    time_it (fun () -> Concretizer.concretize_backtracking ctx ast)
+  let _, clauses_t =
+    time_it (fun () -> Backends.solve Backends.Clauses ctx ast)
   in
   Printf.printf
-    "ares: greedy %.2f ms, backtracking wrapper %.2f ms (1 run — no \
-     regression on the happy path)\n"
-    (1000.0 *. greedy_t) (1000.0 *. bt_t);
+    "ares: greedy %.2f ms, clause backend %.2f ms (round 0 is the greedy \
+     run — no regression on the happy path)\n"
+    (1000.0 *. greedy_t) (1000.0 *. clauses_t);
   (* second ablation: the precomputed provider index (paper §3.4, "building
      a reverse index from virtual packages to providers") vs rebuilding it
      for every concretization *)
@@ -749,15 +752,13 @@ let parallel_doc () =
 
 (* `main.exe concretize` — the concretization-cache benchmark over
    the 21-workload suite (the seven Fig. 10/11 packages x three abstract
-   spec forms: plain, compiler-constrained, version-pinned). Four
+   spec forms: plain, compiler-constrained, version-pinned). Three
    scenarios per workload:
    - cold:   fresh cache, first solve (misses, full fixed point)
    - warm:   same cache, repeat query (whole-query hit, zero iterations)
    - fresh:  no cache at all (--fresh)
-   - seeded: one cache shared across the whole suite, so later workloads
-             start from sub-DAG pins of earlier ones
    The cornerstone invariant is asserted for every workload: cold, warm,
-   fresh, and seeded results are byte-identical (JSON + rendered tree).
+   and fresh results are byte-identical (JSON + rendered tree).
    A fifth pass installs the seven packages and replays the suite with
    --reuse, asserting every reused spec satisfies its query. Fails unless
    warm uses at least 5x fewer concretizer iterations than cold. *)
@@ -794,7 +795,7 @@ let concretize_doc () =
   let solve ~obs ~cache ast =
     let cctx = Concretizer.make_ctx ~config ~obs ~compilers repo in
     let before = Obs.counter obs "concretize.iterations" in
-    match Concretizer.concretize_cached ?cache cctx ast with
+    match Backends.solve_cached ?cache Backends.Greedy cctx ast with
     | Ok c -> (c, Obs.counter obs "concretize.iterations" - before)
     | Error e -> failwith (Ospack_concretize.Cerror.to_string e)
   in
@@ -816,20 +817,6 @@ let concretize_doc () =
           failwith (s ^ ": warm repeat did not hit the cache");
         (s, ast, cold, cold_iters, warm_iters))
       workloads
-  in
-  (* the whole suite against one shared cache: later workloads start from
-     sub-DAG pins seeded by earlier ones, and every result must still be
-     byte-identical to its isolated cold solve *)
-  let shared_obs = Obs.create () in
-  let shared_cache = Ccache.create ~obs:shared_obs ~context:cx () in
-  let seeded_iters =
-    List.map
-      (fun (s, ast, cold, _, _) ->
-        let c, iters = solve ~obs:shared_obs ~cache:(Some shared_cache) ast in
-        if render c <> render cold then
-          failwith (s ^ ": seeded result diverged from cold");
-        iters)
-      rows
   in
   (* store-aware reuse: install the seven packages, replay the suite with
      --reuse; a reused spec need not equal the cold concretization (it
@@ -855,7 +842,6 @@ let concretize_doc () =
   let sum l = List.fold_left ( + ) 0 l in
   let cold_total = sum (List.map (fun (_, _, _, c, _) -> c) rows) in
   let warm_total = sum (List.map (fun (_, _, _, _, w) -> w) rows) in
-  let seeded_total = sum seeded_iters in
   if warm_total * 5 > cold_total then
     failwith
       (Printf.sprintf
@@ -868,23 +854,21 @@ let concretize_doc () =
         ("format", Json.Int 1);
         ( "workloads",
           Json.List
-            (List.map2
-               (fun (s, _, _, cold_iters, warm_iters) seeded ->
+            (List.map
+               (fun (s, _, _, cold_iters, warm_iters) ->
                  Json.Obj
                    [
                      ("spec", Json.String s);
                      ("cold_iterations", Json.Int cold_iters);
                      ("warm_iterations", Json.Int warm_iters);
-                     ("seeded_iterations", Json.Int seeded);
                      ("byte_identical", Json.Bool true);
                    ])
-               rows seeded_iters) );
+               rows) );
         ( "summary",
           Json.Obj
             [
               ("cold_iterations", Json.Int cold_total);
               ("warm_iterations", Json.Int warm_total);
-              ("seeded_iterations", Json.Int seeded_total);
               ("reuse_hits", Json.Int reuse_hits);
               ("reuse_queries", Json.Int (List.length rows));
             ] );
@@ -892,9 +876,9 @@ let concretize_doc () =
   in
   Printf.printf
     "generated %d workloads\n\
-     cold %d iterations, warm %d, suite-seeded %d; reuse hits %d/%d\n\
-     cold == warm == fresh == seeded byte-identical for every workload\n"
-    (List.length rows) cold_total warm_total seeded_total reuse_hits
+     cold %d iterations, warm %d; reuse hits %d/%d\n\
+     cold == warm == fresh byte-identical for every workload\n"
+    (List.length rows) cold_total warm_total reuse_hits
     (List.length rows);
   doc
 
@@ -910,8 +894,6 @@ let concretize_doc () =
 let solve_doc () =
   let module Obs = Ospack_obs.Obs in
   let module Json = Ospack_json.Json in
-  let module I = Ospack_concretize.Concretizer_intf in
-  let module Backends = Ospack_concretize.Backends in
   let repo = Universe.repository () in
   let config = Universe.default_config in
   let compilers = Universe.compilers in
@@ -1152,7 +1134,7 @@ let store_doc () =
   let cache = Ccache.create ~context:cx0 () in
   List.iter
     (fun s ->
-      match Concretizer.concretize_cached ~cache cctx (parse s) with
+      match Backends.solve_cached ~cache Backends.Greedy cctx (parse s) with
       | Ok _ -> ()
       | Error e -> failwith (s ^ ": " ^ Ospack_concretize.Cerror.to_string e))
     workloads;

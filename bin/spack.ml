@@ -139,12 +139,6 @@ let events_arg =
            identical runs; validated by $(b,spack trace-validate).")
 
 let install_cmd =
-  let backtrack =
-    Arg.(
-      value & flag
-      & info [ "backtrack" ]
-          ~doc:"Fall back to the backtracking solver on greedy conflicts.")
-  in
   let jobs =
     Arg.(
       value & opt int 1
@@ -190,7 +184,7 @@ let install_cmd =
              skip both the installed-spec reuse (§3.2.3) and the \
              concretization cache.")
   in
-  let run backtrack jobs index_out trace events timings fresh backend parts =
+  let run jobs index_out trace events timings fresh backend parts =
     let recording = trace <> None || events <> None || timings in
     let obs = if recording then Obs.create () else Obs.disabled in
     let ctx =
@@ -206,7 +200,7 @@ let install_cmd =
       output_char oc '\n';
       close_out oc
     in
-    match Ospack.install ~backtrack ~fresh ~jobs ctx (join_spec parts) with
+    match Ospack.install ~fresh ~jobs ctx (join_spec parts) with
     | Ok report ->
         Format.printf "==> concretized:@.%s@."
           (Concrete.tree_string report.Ospack.Commands.ir_spec);
@@ -236,7 +230,7 @@ let install_cmd =
   Cmd.v
     (Cmd.info "install" ~doc:"Concretize and install a spec.")
     Term.(
-      const run $ backtrack $ jobs $ index_out $ trace $ events_arg $ timings
+      const run $ jobs $ index_out $ trace $ events_arg $ timings
       $ fresh $ backend_arg $ spec_arg)
 
 let profile_cmd =
@@ -277,12 +271,9 @@ let profile_cmd =
             (Concrete.tree_string r.Ospack.Commands.pf_spec);
           (* the concretizer's side of the profile: greedy iteration
              counts, or the clause solver's search statistics *)
-          Format.printf
-            "==> concretize profile: iterations=%d decisions=%d \
-             backtracks=%d@."
+          Format.printf "==> concretize profile: iterations=%d decisions=%d@."
             (Obs.counter obs "concretize.iterations")
-            (Obs.counter obs "concretize.decisions")
-            (Obs.counter obs "concretize.backtracks");
+            (Obs.counter obs "concretize.decisions");
           if
             List.exists
               (fun c -> Obs.counter obs c > 0)
@@ -557,11 +548,11 @@ let stats_cmd =
             "With --slack, attribute the schedule at $(docv) workers \
              (default 1).")
   in
-  let run ccache slack jobs parts =
+  let run ccache slack jobs backend parts =
     let obs = Obs.create () in
     let ctx =
       Ospack.Context.create ~cache_root:"/ospack/buildcache"
-        ?ccache_json:(read_ccache_file ccache) ~obs ()
+        ?ccache_json:(read_ccache_file ccache) ~obs ~backend ()
     in
     if slack then
       match Ospack.profile ~jobs ctx (join_spec parts) with
@@ -597,7 +588,7 @@ let stats_cmd =
           / ccache.misses / ccache.invalidations) show whether the run \
           was warm. With --slack, append the critical-path summary and \
           the per-node slack table.")
-    Term.(const run $ ccache_arg $ slack $ jobs $ spec_arg)
+    Term.(const run $ ccache_arg $ slack $ jobs $ backend_arg $ spec_arg)
 
 let torture_cmd =
   let jobs =

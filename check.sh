@@ -72,27 +72,40 @@ cmp "$par_tmp/index-j4a.json" "$par_tmp/index-j4b.json"
 cmp "$par_tmp/index-j1.json" "$par_tmp/index-j4a.json"
 ./_build/default/bench/main.exe parallel --check > /dev/null
 
-echo "== ccache smoke: cold == warm == --fresh byte-for-byte, warm hits > 0, check BENCH_concretize.json"
-# the concretization cache must be observationally invisible: a cold run,
-# a warm run against the persisted cache, and a --fresh run must print
-# byte-identical concrete specs; the warm run must report cache hits
+echo "== ccache smoke: per backend, cold == warm == --fresh byte-for-byte, warm hits > 0, check BENCH_concretize.json"
+# the concretization cache must be observationally invisible on every
+# backend: a cold run, a warm run against the persisted cache, and a
+# --fresh run must print byte-identical concrete specs; the warm run
+# must report cache hits
 cc_tmp=_build/ccache-smoke
 mkdir -p "$cc_tmp"
-rm -f "$cc_tmp/ccache.json"
-./_build/default/bin/spack.exe spec --ccache "$cc_tmp/ccache.json" mpileaks > "$cc_tmp/cold.out"
-./_build/default/bin/spack.exe spec --ccache "$cc_tmp/ccache.json" mpileaks > "$cc_tmp/warm.out"
-./_build/default/bin/spack.exe spec --fresh mpileaks > "$cc_tmp/fresh.out"
-cmp "$cc_tmp/cold.out" "$cc_tmp/warm.out"
-cmp "$cc_tmp/cold.out" "$cc_tmp/fresh.out"
-rm -f "$cc_tmp/stats-ccache.json"
-./_build/default/bin/spack.exe stats --ccache "$cc_tmp/stats-ccache.json" libdwarf > "$cc_tmp/stats-cold.out"
-./_build/default/bin/spack.exe stats --ccache "$cc_tmp/stats-ccache.json" libdwarf > "$cc_tmp/stats-warm.out"
-grep -q '^ccache\.misses  *1$' "$cc_tmp/stats-cold.out"
-warm_hits=$(awk '/^ccache\.hits/ {print $2}' "$cc_tmp/stats-warm.out")
-if [ -z "$warm_hits" ] || [ "$warm_hits" -lt 1 ]; then
-    echo "error: warm run reported no ccache hits" >&2
-    exit 1
-fi
+for backend in greedy clauses; do
+    cc="$cc_tmp/ccache-$backend.json"
+    rm -f "$cc"
+    ./_build/default/bin/spack.exe spec --concretizer "$backend" --ccache "$cc" mpileaks > "$cc_tmp/cold-$backend.out"
+    ./_build/default/bin/spack.exe spec --concretizer "$backend" --ccache "$cc" mpileaks > "$cc_tmp/warm-$backend.out"
+    ./_build/default/bin/spack.exe spec --concretizer "$backend" --fresh mpileaks > "$cc_tmp/fresh-$backend.out"
+    cmp "$cc_tmp/cold-$backend.out" "$cc_tmp/warm-$backend.out"
+    cmp "$cc_tmp/cold-$backend.out" "$cc_tmp/fresh-$backend.out"
+    st="$cc_tmp/stats-ccache-$backend.json"
+    rm -f "$st"
+    ./_build/default/bin/spack.exe stats --concretizer "$backend" --ccache "$st" libdwarf > "$cc_tmp/stats-cold-$backend.out"
+    ./_build/default/bin/spack.exe stats --concretizer "$backend" --ccache "$st" libdwarf > "$cc_tmp/stats-warm-$backend.out"
+    grep -q '^ccache\.misses  *1$' "$cc_tmp/stats-cold-$backend.out"
+    warm_hits=$(awk '/^ccache\.hits/ {print $2}' "$cc_tmp/stats-warm-$backend.out")
+    if [ -z "$warm_hits" ] || [ "$warm_hits" -lt 1 ]; then
+        echo "error: warm $backend run reported no ccache hits" >&2
+        exit 1
+    fi
+done
+# the clause backend's cached path must also hold on the divergence spec
+# greedy cannot solve
+div_cc="$cc_tmp/ccache-divergence.json"
+rm -f "$div_cc"
+./_build/default/bin/spack.exe spec --concretizer clauses --ccache "$div_cc" mpileaks ^mpi+hwloc ^hwloc@1.9 > "$cc_tmp/div-cold.out"
+./_build/default/bin/spack.exe spec --concretizer clauses --ccache "$div_cc" mpileaks ^mpi+hwloc ^hwloc@1.9 > "$cc_tmp/div-warm.out"
+cmp "$cc_tmp/div-cold.out" "$cc_tmp/div-warm.out"
+grep -q 'openmpi' "$cc_tmp/div-cold.out"
 # the bench asserts byte-identity and the >=5x iteration reduction over
 # the whole 21-workload suite
 ./_build/default/bench/main.exe concretize --check > /dev/null

@@ -7,24 +7,14 @@ let to_string = I.backend_to_string
 let of_string = I.backend_of_string
 let all = I.all_backends
 
-let mirror src dst =
-  List.iter (fun (k, n) -> Obs.count dst k n) (Obs.counters src)
-
-(* One greedy run against a fresh enabled sink, so per-stage counter
-   deltas are readable even when ctx.obs is disabled; totals mirror
-   into ctx.obs either way. *)
+(* One greedy run, recorded on ctx.obs; the run reports its own
+   iteration count, so the stats need no sink of their own. *)
 let greedy_run ?forced (ctx : I.ctx) ast =
-  let obs = Obs.create () in
-  let result, trace = Concretizer.run_trace ~obs ?forced ctx [] ast in
-  mirror obs ctx.obs;
-  let stats =
-    {
-      I.empty_stats with
-      st_iterations = Obs.counter obs "concretize.iterations";
-      st_runs = 1;
-    }
-  in
-  (result, trace, stats)
+  let r = Concretizer.run_trace ?forced ctx ast in
+  ( r.Concretizer.result,
+    r.Concretizer.trace,
+    { I.empty_stats with st_iterations = r.Concretizer.iterations; st_runs = 1 }
+  )
 
 module Greedy_backend = struct
   let name = "greedy"
@@ -129,13 +119,11 @@ module Clause_backend = struct
                     ];
                 }
               else
-                let sobs = Obs.create () in
                 let outcome, sstats =
-                  Solver.solve ~obs:sobs ~nvars:(Clauses.nvars enc)
+                  Solver.solve ~obs:ctx.obs ~nvars:(Clauses.nvars enc)
                     ~clauses:(base_clauses @ blocking)
                     ~order:(Clauses.order enc) ()
                 in
-                mirror sobs ctx.obs;
                 let stats = I.add_stats stats (solver_stats sstats) in
                 match outcome with
                 | Solver.Unsat core_ids ->
@@ -176,6 +164,37 @@ let solve_full backend ctx ast =
   match backend with
   | Greedy -> Greedy_backend.solve_full ctx ast
   | Clauses -> Clause_backend.solve_full ctx ast
+
+(* The one cache-wrapped solve: store-aware reuse, then the whole-query
+   memo (fingerprinted per backend), then a full solve stored back on
+   success. Reuse results are not stored: they reflect the store, not
+   the current packages. *)
+let solve_cached ?cache ?installed backend (ctx : I.ctx) ast =
+  let obs = ctx.obs in
+  let reused =
+    match installed with
+    | None -> None
+    | Some find ->
+        Obs.span obs ~cat:"ccache" "ccache.reuse_lookup" (fun () ->
+            match find ast with
+            | Some c ->
+                Obs.count obs "ccache.reuse_hits" 1;
+                Some c
+            | None -> None)
+  in
+  match (reused, cache) with
+  | Some c, _ -> Ok c
+  | None, None -> solve backend ctx ast
+  | None, Some cache -> (
+      match
+        Obs.span obs ~cat:"ccache" "ccache.lookup" (fun () ->
+            Ccache.lookup cache ast)
+      with
+      | Some c -> Ok c
+      | None ->
+          let result = solve backend ctx ast in
+          Result.iter (Ccache.store cache ast) result;
+          result)
 
 let explanation backend (outcome : I.outcome) =
   match outcome.I.oc_result with

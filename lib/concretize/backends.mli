@@ -35,6 +35,31 @@ val solve :
 val solve_full :
   t -> Concretizer_intf.ctx -> Ospack_spec.Ast.t -> Concretizer_intf.outcome
 
+val solve_cached :
+  ?cache:Ccache.t ->
+  ?installed:(Ospack_spec.Ast.t -> Ospack_spec.Concrete.t option) ->
+  t ->
+  Concretizer_intf.ctx ->
+  Ospack_spec.Ast.t ->
+  (Ospack_spec.Concrete.t, Cerror.t) result
+(** {!solve} through the concretization cache, in two layers:
+
+    + {b store-aware reuse} — when [installed] is given, an installed
+      concrete spec satisfying the abstract query is returned as-is
+      instead of re-solving ([--reuse]; the callback is typically
+      [Database.find_satisfying] plus the §3.2.3 newest-version
+      tie-break). Spanned as [ccache.reuse_lookup], counted as
+      [ccache.reuse_hits].
+    + {b whole-query memo} — a hit under the current context fingerprint
+      returns the stored concretization ([ccache.lookup] span,
+      [ccache.hits]/[ccache.misses]); a miss is solved by [backend] and
+      stored back on success.
+
+    Caching is observationally invisible: a hit is byte-identical to the
+    cold result, because solving is deterministic and every input is
+    covered by the key or the fingerprint. Reuse results are not stored
+    (they reflect the store, not the current packages). *)
+
 val explanation :
   t -> Concretizer_intf.outcome -> Cerror.explanation option
 (** The rendered conflict explanation of a failed outcome ([None] on

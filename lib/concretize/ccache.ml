@@ -33,12 +33,7 @@ type context = {
 type t = {
   cc_context : context;
   cc_entries : (string, Concrete.t) Hashtbl.t;
-      (* authoritative: canonical abstract spec -> its concretization *)
-  cc_seeds : (string, Concrete.node) Hashtbl.t;
-      (* advisory: package name -> a concrete node it pinned to in some
-         stored result. Seeds accelerate the fixed point (sub-DAG memo)
-         but are never returned as answers — a node's parameters inside
-         one DAG need not match its standalone concretization. *)
+      (* canonical abstract spec -> its concretization *)
   cc_obs : Obs.t;
 }
 
@@ -129,7 +124,6 @@ let create ?(obs = Obs.disabled) ~context:cx () =
   {
     cc_context = cx;
     cc_entries = Hashtbl.create 64;
-    cc_seeds = Hashtbl.create 64;
     cc_obs = obs;
   }
 
@@ -147,15 +141,7 @@ let lookup t ast =
       Obs.count t.cc_obs "ccache.misses" 1;
       None
 
-let store t ast concrete =
-  Hashtbl.replace t.cc_entries (key_of ast) concrete;
-  List.iter
-    (fun (n : Concrete.node) -> Hashtbl.replace t.cc_seeds n.Concrete.name n)
-    (Concrete.nodes concrete)
-
-let seeds t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.cc_seeds []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+let store t ast concrete = Hashtbl.replace t.cc_entries (key_of ast) concrete
 
 let length t = Hashtbl.length t.cc_entries
 
@@ -184,8 +170,7 @@ let to_json t =
    Merkle fingerprint still equals the one its concrete DAG hashes to
    under the current context. [ccache.invalidations] counts evicted
    entries — one per entry under a wholesale base/format mismatch too,
-   so the counter always means "entries lost". Seeds are harvested only
-   from surviving entries. *)
+   so the counter always means "entries lost". *)
 let of_json ?(obs = Obs.disabled) ~context:cx json =
   let open Json in
   let entries =
@@ -210,11 +195,7 @@ let of_json ?(obs = Obs.disabled) ~context:cx json =
           | Some key, Some merkle, Some cj -> (
               match Concrete.of_json cj with
               | Ok c when entry_fingerprint cx c = merkle ->
-                  Hashtbl.replace t.cc_entries key c;
-                  List.iter
-                    (fun (n : Concrete.node) ->
-                      Hashtbl.replace t.cc_seeds n.Concrete.name n)
-                    (Concrete.nodes c)
+                  Hashtbl.replace t.cc_entries key c
               | Ok _ | Error _ -> evict ())
           | _ -> evict ())
         entries

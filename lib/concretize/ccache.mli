@@ -83,19 +83,10 @@ val lookup : t -> Ospack_spec.Ast.t -> Ospack_spec.Concrete.t option
 (** Counts [ccache.hits] / [ccache.misses] on the cache's obs sink. *)
 
 val store : t -> Ospack_spec.Ast.t -> Ospack_spec.Concrete.t -> unit
-(** Record an authoritative (abstract, concrete) pair, and harvest every
-    node of the concrete DAG into the advisory seed table. *)
-
-val seeds : t -> (string * Ospack_spec.Concrete.node) list
-(** The sub-DAG memo, sorted by package name: for each package that
-    appeared in any stored concretization, the concrete node it pinned
-    to. Seeds prime the fixed point's first iteration
-    ({!Concretizer.concretize_cached}); they are {e never} served as
-    whole-query answers — a node's parameters inside one DAG need not
-    match its standalone concretization. *)
+(** Record an (abstract, concrete) pair. *)
 
 val length : t -> int
-(** Authoritative entries only (seeds excluded). *)
+(** Number of stored entries. *)
 
 val to_json : t -> Ospack_json.Json.t
 (** Serialized form: format version, base fingerprint, and one
@@ -112,8 +103,7 @@ val of_json :
     its recorded Merkle fingerprint still matches its DAG under
     [context]. Every evicted entry counts one [ccache.invalidations];
     malformed entries are dropped (and counted) without poisoning their
-    neighbours. Seeds are harvested only from surviving entries. Never an
-    error, never a stale entry. *)
+    neighbours. Never an error, never a stale entry. *)
 
 val load :
   ?obs:Ospack_obs.Obs.t ->

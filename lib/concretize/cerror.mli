@@ -1,10 +1,11 @@
 (** Concretization errors (paper §3.4: "Spack will stop and notify the user
     of the conflict").
 
-    The greedy algorithm does not backtrack; each variant below corresponds
-    to a distinct way a greedy run can get stuck, and the message tells the
-    user what to toggle — the paper's "the user might toggle a variant or
-    force the build to use a particular MPI implementation". *)
+    The greedy algorithm never revisits a decision; each variant below
+    corresponds to a distinct way a greedy run can get stuck, and the
+    message tells the user what to toggle — the paper's "the user might
+    toggle a variant or force the build to use a particular MPI
+    implementation". *)
 
 type t =
   | Conflict of Ospack_spec.Constraint_ops.conflict

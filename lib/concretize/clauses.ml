@@ -329,7 +329,7 @@ and emit_vreq b ~depth ~gates ~why (req : Ast.node) =
       let pkg = pkg_of b pr in
       (* required interface variants must exist on (and agree with) the
          provider — the §4.5 lever: a provider lacking the variant is
-         excluded by propagation, no backtracking needed *)
+         excluded by propagation, without search *)
       Smap.iter
         (fun vn want ->
           if Package.find_variant pkg vn = None then
@@ -484,31 +484,69 @@ let emit_deps b =
         pkg.Package.p_dependencies)
     b.closure
 
-(* Unconditional, version-only conflicts directives translate exactly;
-   anything else is left to the greedy oracle. *)
+(* The architecture every node of any greedy DAG takes, when it is
+   statically known. A node's arch comes from its merged constraints,
+   else from the package that pulled it in, and the root's from the
+   query, else from the site default. So when no query [^dep], no
+   dependency declaration and no provides condition in the closure names
+   an arch, every node inherits the root's. Otherwise [None]: the arch is
+   left to the greedy oracle. *)
+let uniform_arch b =
+  let names_arch (n : Ast.node) = n.Ast.arch <> None in
+  let spec_names_arch (s : Ast.t) =
+    names_arch s.Ast.root || Smap.exists (fun _ n -> names_arch n) s.Ast.deps
+  in
+  let declares_arch name =
+    let pkg = pkg_of b name in
+    List.exists
+      (fun (d : Package.dep) -> spec_names_arch d.Package.d_spec)
+      pkg.Package.p_dependencies
+    || List.exists
+         (fun (p : Package.provide) ->
+           Option.fold ~none:false ~some:spec_names_arch p.Package.pv_when)
+         pkg.Package.p_provides
+  in
+  if
+    Smap.exists (fun _ n -> names_arch n) b.abstract.Ast.deps
+    || List.exists declares_arch b.closure
+  then None
+  else
+    match b.abstract.Ast.root.Ast.arch with
+    | Some a -> Some a
+    | None -> Some (Policy.default_arch b.ctx.config)
+
+(* Unconditional conflicts directives over versions and the arch
+   translate exactly when the arch they name is decided statically (an
+   arch-only conflict such as [bgq-mpi conflicts "=linux-x86_64"] rules
+   the package out of the DAG); anything else is left to the greedy
+   oracle. *)
 let emit_conflicts b =
+  let arch = uniform_arch b in
   List.iter
     (fun pname ->
       let pkg = pkg_of b pname in
       List.iter
         (fun (c : Package.conflict_decl) ->
-          match c.Package.cf_when with
-          | Some _ -> ()
-          | None ->
-              let n = c.Package.cf_spec in
-              if
-                Smap.is_empty n.Ast.variants
-                && n.Ast.compiler = None && n.Ast.arch = None
-                && not (Vlist.is_any n.Ast.versions)
-              then
-                List.iter
-                  (fun v ->
-                    if Vlist.mem v n.Ast.versions then
-                      emit b
-                        [ -v_var b pname v ]
-                        (Printf.sprintf "%s conflicts with %s" pname
-                           (Printer.node_to_string n)))
-                  (cand_of b pname))
+          let n = c.Package.cf_spec in
+          let arch_matches =
+            match n.Ast.arch with None -> true | Some a -> arch = Some a
+          in
+          if
+            c.Package.cf_when = None
+            && Smap.is_empty n.Ast.variants
+            && n.Ast.compiler = None && arch_matches
+          then
+            let why =
+              Printf.sprintf "%s conflicts with %s" pname
+                (Printer.node_to_string n)
+            in
+            if Vlist.is_any n.Ast.versions then emit b [ -p_var b pname ] why
+            else
+              List.iter
+                (fun v ->
+                  if Vlist.mem v n.Ast.versions then
+                    emit b [ -v_var b pname v ] why)
+                (cand_of b pname))
         pkg.Package.p_conflicts)
     b.closure
 

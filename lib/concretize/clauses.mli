@@ -8,7 +8,11 @@
     The encoding is a sound {e relaxation} of the greedy semantics: every
     DAG the greedy fixed point could produce (under any decision
     overrides) is a model, so encoding-UNSAT implies greedy-UNSAT and the
-    extracted core is a true explanation. Constraints the clause language
+    extracted core is a true explanation. Unconditional [conflicts] over
+    versions and the architecture are exact when every node's arch is
+    decided statically (no query [^dep], dependency declaration or
+    provides condition in the closure names one, so all nodes take the
+    root's arch or the site default). Constraints the clause language
     cannot express exactly (compiler/arch-conditional deps, variants that
     some spec might pin) are dropped rather than approximated, and models
     are validated by replaying them through the greedy oracle

@@ -116,14 +116,10 @@ type decision = {
 
 type run_state = {
   ctx : ctx;
-  obs : Obs.t;
-      (* usually [ctx.obs]; [concretize_explain] substitutes its own
-         enabled sink so the decision log always has somewhere to go *)
-  choices : (string * int) list;  (* decision overrides (backtracking) *)
   forced : (string * string) list;
       (* value-based decision overrides: key -> rendered value. Used by
          the clause backend to replay a solver model through the greedy
-         oracle; consulted before [choices], matched via [repr]. *)
+         oracle; matched via [repr]. *)
   decisions : (string, int * string) Hashtbl.t;
       (* key -> (index, chosen repr); stable across iterations. The repr
          is authoritative on re-lookup: the candidate list for a key can
@@ -133,6 +129,7 @@ type run_state = {
          {e value}, not the same position. The index is the fallback
          when the remembered value is no longer a candidate. *)
   mutable trace : decision list;  (* reversed *)
+  mutable iterations : int;  (* fixed-point iterations run so far *)
   vsources : (string, (string * Vlist.t) list) Hashtbl.t;
       (* per-package version-constraint provenance, for nearest-miss
          rendering in {!Cerror.No_version} *)
@@ -180,14 +177,7 @@ let decide rs key ~repr first rest =
         | Some value -> index_where (fun a -> repr a = value) alternatives
         | None -> None
       in
-      let i =
-        match forced_index with
-        | Some i -> i
-        | None -> (
-            match List.assoc_opt key rs.choices with
-            | Some i -> min i (n - 1)
-            | None -> 0)
-      in
+      let i = Option.value forced_index ~default:0 in
       let chosen = List.nth alternatives i in
       Hashtbl.add rs.decisions key (i, repr chosen);
       let d = { d_key = key; d_alternatives = n; d_chosen = repr chosen } in
@@ -195,8 +185,8 @@ let decide rs key ~repr first rest =
       (* the policy-decision log is an obs event stream: the explain
          rendering reads it back, and enabled traces show each
          decision as an annotation at the point it was taken *)
-      Obs.count rs.obs "concretize.decisions" 1;
-      Obs.annotate rs.obs ~cat:"explain" (explain_decision d);
+      Obs.count rs.ctx.obs "concretize.decisions" 1;
+      Obs.annotate rs.ctx.obs ~cat:"explain" (explain_decision d);
       chosen
 
 (* Record where a version constraint on [name] came from, so a later
@@ -269,17 +259,9 @@ let ranked_versions cfg pkg (constraint_ : Vlist.t) =
     match Vlist.concrete constraint_ with Some v -> [ v ] | None -> []
   else ranked
 
-(* [seed] pre-populates the previous-iteration pins the first iteration
-   evaluates its when-clauses against. A cold run starts from no pins; a
-   seeded run starts from pins harvested from earlier concretizations in
-   the same context (the concretization cache's sub-DAG memo), which lets
-   the fixed point begin where a previous run ended. Only pins are seeded
-   — never nodes, edges, or provided sets — so dependency-existence
-   ([when=^dep]) clauses still see exactly the cold-start DAG in
-   iteration 1, and the fixed point converges to the cold answer. *)
-let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
+let run rs (abstract : Ast.t) =
   let ctx = rs.ctx in
-  let obs = rs.obs in
+  let obs = ctx.obs in
   (* every constraint merge is counted — the per-iteration cost driver
      the ASP follow-up paper's evaluation is built around *)
   let intersect_or_fail a b =
@@ -298,6 +280,7 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
     if iter > max_iterations then
       fail (Cerror.Not_converged { iterations = max_iterations });
     Obs.count obs "concretize.iterations" 1;
+    rs.iterations <- iter;
     let root_name, nodes, snapshot =
       Obs.span obs ~cat:"concretize"
         ~args:[ ("iteration", string_of_int iter) ]
@@ -752,109 +735,48 @@ let run ?(seed = Smap.empty) rs (abstract : Ast.t) =
           (Format.asprintf "concretizer produced an invalid DAG: %a"
              Concrete.pp_validation_error e)
   in
-  iterate 1 { empty_snapshot with spins = seed }
+  iterate 1 empty_snapshot
 
 (* ------------------------------------------------------------------ *)
 (* Public entry points                                                 *)
 
-let run_once ?obs ?seed ?(forced = []) (ctx : ctx) choices abstract =
-  let obs = Option.value obs ~default:ctx.obs in
+type run_result = {
+  result : (Concrete.t, Cerror.t) result;
+  trace : decision list;
+  iterations : int;
+}
+
+let run_trace ?(forced = []) (ctx : ctx) abstract =
   let rs =
     {
       ctx;
-      obs;
-      choices;
       forced;
       decisions = Hashtbl.create 8;
       trace = [];
+      iterations = 0;
       vsources = Hashtbl.create 8;
     }
   in
-  match run ?seed rs abstract with
-  | concrete -> (Ok concrete, List.rev rs.trace)
-  | exception Cerror.Error e -> (Error e, List.rev rs.trace)
-
-let run_trace ?obs ?(forced = []) (ctx : ctx) choices abstract =
-  run_once ?obs ~forced ctx choices abstract
-
-let concretize ctx abstract = fst (run_once ctx [] abstract)
-
-let pins_of_concrete_node (n : Concrete.node) =
-  {
-    pv = n.Concrete.version;
-    pc = n.Concrete.compiler;
-    pvar = Concrete.Smap.fold Smap.add n.Concrete.variants Smap.empty;
-    parch = n.Concrete.arch;
-  }
-
-(* Pins seed for a query: every package the cache ever concretized, except
-   where the stored node contradicts the query's own constraints (root or
-   ^dep) — a contradicted seed would make iteration 1 evaluate when-clauses
-   against parameters the fixed point can never keep. *)
-let seed_for cache (abstract : Ast.t) =
-  List.fold_left
-    (fun acc (name, node) ->
-      let consistent =
-        if name = abstract.Ast.root.Ast.name then
-          Concrete.node_satisfies node abstract.Ast.root
-        else
-          match Smap.find_opt name abstract.Ast.deps with
-          | Some c -> Concrete.node_satisfies node c
-          | None -> true
-      in
-      if consistent then Smap.add name (pins_of_concrete_node node) acc
-      else acc)
-    Smap.empty (Ccache.seeds cache)
-
-let concretize_cached ?cache ?installed (ctx : ctx) abstract =
-  let obs = ctx.obs in
-  let reused =
-    match installed with
-    | None -> None
-    | Some find ->
-        Obs.span obs ~cat:"ccache" "ccache.reuse_lookup" (fun () ->
-            match find abstract with
-            | Some c ->
-                Obs.count obs "ccache.reuse_hits" 1;
-                Some c
-            | None -> None)
+  let result =
+    match run rs abstract with
+    | concrete -> Ok concrete
+    | exception Cerror.Error e -> Error e
   in
-  match reused with
-  | Some c -> Ok c
-  | None -> (
-      match cache with
-      | None -> concretize ctx abstract
-      | Some cache -> (
-          let hit =
-            Obs.span obs ~cat:"ccache" "ccache.lookup" (fun () ->
-                Ccache.lookup cache abstract)
-          in
-          match hit with
-          | Some c -> Ok c
-          | None ->
-              let seed =
-                Obs.span obs ~cat:"ccache" "ccache.seed" (fun () ->
-                    let s = seed_for cache abstract in
-                    Obs.count obs "ccache.seeded_pins" (Smap.cardinal s);
-                    s)
-              in
-              let result = fst (run_once ~seed ctx [] abstract) in
-              (match result with
-              | Ok c -> Ccache.store cache abstract c
-              | Error _ -> ());
-              result))
+  { result; trace = List.rev rs.trace; iterations = rs.iterations }
+
+let concretize ctx abstract = (run_trace ctx abstract).result
 
 let concretize_explain (ctx : ctx) abstract =
   (* the explain lines are read back from the obs event stream (rather
      than a bespoke string list): the run annotates each decision as it
      is taken, and we collect the annotations it produced. When the
-     session already records, the same annotations land in its trace. *)
+     session already records, the same annotations land in its trace;
+     otherwise the run gets its own enabled sink. *)
   let obs = if Obs.enabled ctx.obs then ctx.obs else Obs.create () in
   let m = Obs.mark obs in
-  let result, _trace = run_once ~obs ctx [] abstract in
   Result.map
     (fun c -> (c, Obs.annotations_since obs ~cat:"explain" m))
-    result
+    (run_trace { ctx with obs } abstract).result
 
 let concretize_string ctx spec =
   match Parser.parse spec with
@@ -863,47 +785,3 @@ let concretize_string ctx spec =
       match concretize ctx abstract with
       | Ok c -> Ok c
       | Error e -> Error (Cerror.to_string e))
-
-let runs_used = ref 1
-let last_run_count () = !runs_used
-
-let concretize_backtracking ?(max_runs = 2000) ctx abstract =
-  let first_result, first_trace = run_once ctx [] abstract in
-  runs_used := 1;
-  match first_result with
-  | Ok c -> Ok c
-  | Error first_error ->
-      (* chronological backtracking: advance the most recent decision that
-         still has untried alternatives, resetting all later ones *)
-      let next_choices trace choices =
-        let rec scan rev_trace =
-          match rev_trace with
-          | [] -> None
-          | d :: earlier ->
-              let key = d.d_key in
-              let cur =
-                Option.value (List.assoc_opt key choices) ~default:0
-              in
-              if cur + 1 < d.d_alternatives then
-                let earlier_keys = List.map (fun d -> d.d_key) earlier in
-                let kept =
-                  List.filter (fun (k, _) -> List.mem k earlier_keys) choices
-                in
-                Some ((key, cur + 1) :: kept)
-              else scan earlier
-        in
-        scan (List.rev trace)
-      in
-      let rec search trace choices runs =
-        if runs >= max_runs then Error first_error
-        else
-          match next_choices trace choices with
-          | None -> Error first_error
-          | Some choices' -> (
-              runs_used := runs + 1;
-              Obs.count ctx.obs "concretize.backtracks" 1;
-              match run_once ctx choices' abstract with
-              | Ok c, _ -> Ok c
-              | Error _, trace' -> search trace' choices' (runs + 1))
-      in
-      search first_trace [] 1

@@ -14,11 +14,10 @@
 
     Like Spack's implementation, {!concretize} is greedy: a decision once
     taken is never revisited, and a downstream inconsistency is reported
-    as a {!Cerror.t} telling the user what to force (§3.4, §4.5).
-    {!concretize_backtracking} is the "better constraint solving" the paper
-    leaves as future work: chronological backtracking over the greedy
-    run's recorded decision points (virtual-provider and version choices),
-    which resolves e.g. the paper's hwloc example (§4.5). *)
+    as a {!Cerror.t} telling the user what to force (§3.4, §4.5). The
+    "better constraint solving" the paper leaves as future work is the
+    clause backend ({!Backends}), which uses this greedy run as its
+    oracle. *)
 
 type ctx = Concretizer_intf.ctx = {
   repo : Ospack_package.Repository.t;
@@ -38,47 +37,14 @@ val make_ctx :
 
     When [obs] is an enabled sink (default: {!Ospack_obs.Obs.disabled}),
     every concretization records one span per fixed-point iteration plus
-    a finalize span, counters for iterations, constraint merges, policy
-    decisions and backtracking re-runs, and one instant annotation (cat
-    ["explain"]) per policy decision. *)
+    a finalize span, counters for iterations, constraint merges and policy
+    decisions, and one instant annotation (cat ["explain"]) per policy
+    decision. *)
 
 val concretize :
   ctx -> Ospack_spec.Ast.t -> (Ospack_spec.Concrete.t, Cerror.t) result
 (** Greedy concretization. The root may name a virtual interface
     ([spack install mpi] installs the preferred provider). *)
-
-val concretize_cached :
-  ?cache:Ccache.t ->
-  ?installed:(Ospack_spec.Ast.t -> Ospack_spec.Concrete.t option) ->
-  ctx ->
-  Ospack_spec.Ast.t ->
-  (Ospack_spec.Concrete.t, Cerror.t) result
-(** {!concretize} through the concretization cache, in three layers:
-
-    + {b store-aware reuse} — when [installed] is given, an installed
-      concrete spec satisfying the abstract query is returned as-is
-      instead of re-solving ([--reuse]; the callback is typically
-      [Database.find_satisfying] plus the §3.2.3 newest-version
-      tie-break). Counted as [ccache.reuse_hits].
-    + {b whole-query memo} — a cache hit under the current context
-      fingerprint returns the stored concretization
-      ([ccache.hits]/[ccache.misses]).
-    + {b sub-DAG seeding} — on a miss, pins harvested from earlier
-      concretizations ({!Ccache.seeds}) prime the fixed point's first
-      iteration ([ccache.seeded_pins]), so shared subtrees (the
-      [mvapich2] under [mpileaks ^mvapich2]) start from their previous
-      solution rather than from scratch. Seeds contradicting the query's
-      own constraints are dropped.
-
-    Caching is observationally invisible: a hit is byte-identical to the
-    cold result (concretization is deterministic and every input is
-    covered by the key or the fingerprint), and a seeded fixed point
-    converges to the cold answer because only pins are seeded — never
-    nodes, edges, or provided sets — so iteration 1 sees exactly the
-    cold-start DAG. The bench's [concretize] mode asserts this identity
-    over the whole workload suite. Successful results (from layers 2–3)
-    are stored back; reuse results are not (they reflect the store, not
-    the current packages). *)
 
 val concretize_explain :
   ctx ->
@@ -96,26 +62,13 @@ val concretize_string :
   ctx -> string -> (Ospack_spec.Concrete.t, string) result
 (** Parse and concretize; parse and concretization errors are rendered. *)
 
-val concretize_backtracking :
-  ?max_runs:int ->
-  ctx ->
-  Ospack_spec.Ast.t ->
-  (Ospack_spec.Concrete.t, Cerror.t) result
-(** Greedy search with chronological backtracking over provider and
-    version decisions. [max_runs] bounds the number of greedy re-runs
-    (default 2000). Returns the first solution found, or the error of the
-    first (fully greedy) run if the search space is exhausted. *)
-
-val last_run_count : unit -> int
-(** Number of greedy runs the most recent {!concretize_backtracking} used
-    (1 when greedy succeeded outright) — exposed for the ablation bench. *)
-
 (** {2 Backend plumbing}
 
-    The pieces below expose the greedy run's internals to the other
-    concretizer backends ({!Backends}, {!Clauses}): its decision trace,
-    a way to replay it under forced decisions (the clause backend's
-    greedy oracle), and the version-ranking policy shared by both. *)
+    The pieces below expose the greedy run's internals to the
+    concretizer backends ({!Backends}, {!Clauses}): its decision trace
+    and iteration count, a way to replay it under forced decisions (the
+    clause backend's greedy oracle), and the version-ranking policy
+    shared by both. *)
 
 type decision = {
   d_key : string;  (** ["provider:mpi"], ["version:mpich"] *)
@@ -126,21 +79,23 @@ type decision = {
 val explain_decision : decision -> string
 (** E.g. ["virtual mpi -> mvapich2 (1 of 3 candidates)"]. *)
 
+type run_result = {
+  result : (Ospack_spec.Concrete.t, Cerror.t) result;
+  trace : decision list;  (** decisions in the order they were taken *)
+  iterations : int;  (** fixed-point iterations the run took *)
+}
+
 val run_trace :
-  ?obs:Ospack_obs.Obs.t ->
   ?forced:(string * string) list ->
   ctx ->
-  (string * int) list ->
   Ospack_spec.Ast.t ->
-  (Ospack_spec.Concrete.t, Cerror.t) result * decision list
-(** One greedy run, returning both the result and the decision trace in
-    the order the decisions were taken. The [(string * int) list] is the
-    index-based decision-override list (as used by backtracking);
-    [forced] overrides decisions by {e value} instead — a pair
-    [("provider:mpi", "openmpi")] or [("version:hwloc", "1.9")] forces
-    that choice wherever it appears among the ranked candidates. Forced
-    values not among the candidates are ignored (the greedy default
-    applies). *)
+  run_result
+(** One greedy run, recording its spans, counters and decision
+    annotations on [ctx.obs] like {!concretize}. [forced] overrides
+    decisions by value: a pair [("provider:mpi", "openmpi")] or
+    [("version:hwloc", "1.9")] forces that choice wherever it appears
+    among the ranked candidates. Forced values not among the candidates
+    are ignored (the greedy default applies). *)
 
 val ranked_versions :
   Ospack_config.Config.t ->

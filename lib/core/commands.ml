@@ -62,12 +62,12 @@ let best_installed (ctx : Context.t) ast =
     None candidates
 
 (* Every concretization below the command layer flows through the
-   fingerprinted cache ({!Ospack_concretize.Ccache}) unless [fresh] asks
-   for a from-scratch solve; successful results persist to the store root
-   immediately (write-then-rename, like the database index). [reuse]
-   additionally short-circuits to an installed concrete spec satisfying
-   the query (the store-aware reuse of the ASP follow-up paper, in the
-   greedy setting). *)
+   fingerprinted cache ({!Ospack_concretize.Backends.solve_cached}) unless
+   [fresh] asks for a from-scratch solve; successful results persist to
+   the store root immediately (write-then-rename, like the database
+   index). [reuse] additionally short-circuits to an installed concrete
+   spec satisfying the query (the store-aware reuse of the ASP follow-up
+   paper). *)
 let concretize_cached (ctx : Context.t) ?(reuse = false) ast =
   let installed =
     if reuse then
@@ -78,27 +78,7 @@ let concretize_cached (ctx : Context.t) ?(reuse = false) ast =
   in
   let before = Ccache.length ctx.ccache in
   let result =
-    match ctx.backend with
-    | Backends.Greedy ->
-        Concretizer.concretize_cached ~cache:ctx.ccache ?installed ctx.cctx
-          ast
-    | Backends.Clauses -> (
-        (* same three layers as the greedy path: store-aware reuse, then
-           the whole-query memo (fingerprinted per backend), then a full
-           solve stored back on success *)
-        match
-          match installed with None -> None | Some find -> find ast
-        with
-        | Some c -> Ok c
-        | None -> (
-            match Ccache.lookup ctx.ccache ast with
-            | Some c -> Ok c
-            | None ->
-                let r = Backends.solve Backends.Clauses ctx.cctx ast in
-                (match r with
-                | Ok c -> Ccache.store ctx.ccache ast c
-                | Error _ -> ());
-                r))
+    Backends.solve_cached ~cache:ctx.ccache ?installed ctx.backend ctx.cctx ast
   in
   (match result with
   | Ok _ when Ccache.length ctx.ccache <> before -> Context.save_ccache ctx
@@ -151,19 +131,12 @@ let solve (ctx : Context.t) text =
         ( Backends.to_string ctx.backend,
           Backends.solve_full ctx.backend ctx.cctx ast )
 
-let concretize_ast ?(backtrack = false) ?(fresh = false) (ctx : Context.t)
-    ast =
+let concretize_ast ?(fresh = false) (ctx : Context.t) ast =
   let result =
     if fresh then Backends.solve ctx.backend ctx.cctx ast
     else concretize_cached ctx ast
   in
-  match result with
-  | Ok c -> Ok c
-  | Error e when backtrack && ctx.backend = Backends.Greedy -> (
-      match Concretizer.concretize_backtracking ctx.cctx ast with
-      | Ok c -> Ok c
-      | Error _ -> Error (render_cerror ctx e))
-  | Error e -> Error (render_cerror ctx e)
+  Result.map_error (render_cerror ctx) result
 
 let report ?parallel spec outcomes =
   {
@@ -173,7 +146,7 @@ let report ?parallel spec outcomes =
     ir_parallel = parallel;
   }
 
-let install ?backtrack ?(fresh = false) ?(jobs = 1) (ctx : Context.t) text =
+let install ?(fresh = false) ?(jobs = 1) (ctx : Context.t) text =
   let* ast = Parser.parse text in
   match if fresh then None else best_installed ctx ast with
   | Some record ->
@@ -186,7 +159,7 @@ let install ?backtrack ?(fresh = false) ?(jobs = 1) (ctx : Context.t) text =
   | None ->
       let* concrete =
         Obs.span ctx.obs ~cat:"concretize" "concretize" (fun () ->
-            concretize_ast ?backtrack ~fresh ctx ast)
+            concretize_ast ~fresh ctx ast)
       in
       if jobs <= 1 then
         let* outcomes =

@@ -30,14 +30,14 @@ val spec :
 (** Concretize without installing ([spack spec]), through the context's
     fingerprinted concretization cache: a repeat of an earlier query under
     the same packages/compilers/configuration returns the memoized result
-    ([ccache.hits]), a miss is solved with the fixed point seeded from
-    previously concretized sub-DAGs and stored back (persisted under the
-    store root with crash-safe write-then-rename). Caching is
-    observationally invisible — the result is byte-identical to a cold
-    solve. [fresh] bypasses the cache entirely ([spack spec --fresh]);
-    [reuse] first looks for an installed concrete spec satisfying the
-    query and returns it as-is ([spack spec --reuse] — the store-aware
-    reuse semantics, §3.2.3 generalized to concretization). *)
+    ([ccache.hits]), a miss is solved by the context's backend and
+    stored back (persisted under the store root with crash-safe
+    write-then-rename). Caching is observationally invisible — the
+    result is byte-identical to a cold solve. [fresh] bypasses the cache
+    entirely ([spack spec --fresh]); [reuse] first looks for an installed
+    concrete spec satisfying the query and returns it as-is ([spack spec
+    --reuse] — the store-aware reuse semantics, §3.2.3 generalized to
+    concretization). *)
 
 val spec_explain :
   Context.t -> string ->
@@ -58,15 +58,14 @@ val solve :
     Never consults the concretization cache. *)
 
 val install :
-  ?backtrack:bool ->
   ?fresh:bool ->
   ?jobs:int ->
   Context.t ->
   string ->
   (install_report, string) result
-(** Concretize and install ([spack install]). [backtrack] enables the
-    backtracking solver when greedy concretization fails (§4.5).
-    [jobs > 1] routes through the deterministic parallel scheduler
+(** Concretize and install ([spack install]) with the context's
+    concretizer backend. [jobs > 1] routes through the deterministic
+    parallel scheduler
     ({!Ospack_store.Installer.install_parallel}, [spack install -j N]):
     outcomes arrive in completion order, the report carries the
     scheduler's makespan, and any node failures aggregate into one

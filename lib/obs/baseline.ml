@@ -13,7 +13,7 @@ type direction = Higher_is_worse | Lower_is_worse | Informational | Exact
 let policy_of = function
   | "makespan_seconds" | "serial_seconds" | "build_seconds" | "total_seconds"
   | "self_seconds" | "cp_seconds" | "cold_iterations" | "warm_iterations"
-  | "seeded_iterations" | "iterations" | "decisions" | "propagations"
+  | "iterations" | "decisions" | "propagations"
   | "conflicts" | "restarts" | "greedy_runs" ->
       Higher_is_worse
   | "speedup" | "efficiency" | "reuse_hits" | "utilization" -> Lower_is_worse

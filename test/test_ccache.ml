@@ -1,7 +1,8 @@
 (* The Merkle-fingerprinted concretization cache: base-fingerprint
    sensitivity to the shared declarative inputs, per-entry fingerprint
    sensitivity to exactly the dependency closure (plus virtual provider
-   sets), lookup/store/seed semantics, and validated persistence — a
+   sets), lookup/store and reuse semantics on every concretizer backend,
+   and validated persistence — a
    recipe edit evicts only the entries that can see it, wholesale
    mismatches and corruption discard everything, and a stale entry is
    never trusted. *)
@@ -12,6 +13,7 @@ module Compilers = Ospack_config.Compilers
 module Config = Ospack_config.Config
 module Concretizer = Ospack_concretize.Concretizer
 module Ccache = Ospack_concretize.Ccache
+module Backends = Ospack_concretize.Backends
 module Concrete = Ospack_spec.Concrete
 module Parser = Ospack_spec.Parser
 module Obs = Ospack_obs.Obs
@@ -51,8 +53,8 @@ let ctx_of ?(config = Config.empty) ?obs packages =
 
 let parse = Parser.parse_exn
 
-let concretize_ok ?cache ?installed ctx spec =
-  match Concretizer.concretize_cached ?cache ?installed ctx (parse spec) with
+let concretize_ok ?cache ?installed ?(backend = Backends.Greedy) ctx spec =
+  match Backends.solve_cached ?cache ?installed backend ctx (parse spec) with
   | Ok c -> c
   | Error e ->
       Alcotest.failf "%s failed to concretize: %s" spec
@@ -150,77 +152,87 @@ let entry_provider_sensitivity () =
     (Ccache.entry_fingerprint cx0 lib)
     (Ccache.entry_fingerprint cxr lib)
 
-(* --- lookup / store / seeds --- *)
+(* --- lookup / store / reuse, on every backend --- *)
+
+let cache_of ?obs backend packages =
+  Ccache.create ?obs
+    ~context:(mk_context ~backend:(Backends.to_string backend) packages)
+    ()
 
 let lookup_store_semantics () =
-  let obs = Obs.create () in
-  let packages = base_packages () in
-  let cache = Ccache.create ~obs ~context:(mk_context packages) () in
-  let ctx = ctx_of packages in
-  let ast = parse "app@1.0+debug" in
-  Alcotest.(check bool) "cold lookup misses" true
-    (Ccache.lookup cache ast = None);
-  let c = concretize_ok ~cache ctx "app@1.0+debug" in
-  Alcotest.(check int) "one authoritative entry" 1 (Ccache.length cache);
-  (match Ccache.lookup cache ast with
-  | Some c' -> Alcotest.(check bool) "hit equals stored" true (Concrete.equal c c')
-  | None -> Alcotest.fail "warm lookup should hit");
-  (* the same AST spelled differently shares the canonical key *)
-  (match Ccache.lookup cache (parse "app +debug @1.0") with
-  | Some _ -> ()
-  | None -> Alcotest.fail "canonicalized spelling should hit");
-  Alcotest.(check int) "misses counted" 2 (Obs.counter obs "ccache.misses");
-  Alcotest.(check bool) "hits counted" true (Obs.counter obs "ccache.hits" >= 2);
-  (* every node of the stored DAG became an advisory seed... *)
-  let seed_names = List.map fst (Ccache.seeds cache) in
   List.iter
-    (fun n ->
-      Alcotest.(check bool) (n ^ " seeded") true (List.mem n seed_names))
-    [ "app"; "libx"; "mympi" ];
-  (* ...but seeds are never whole-query answers: libx has a seed yet its
-     own query still misses *)
-  Alcotest.(check bool) "seed is not an entry" true
-    (Ccache.lookup cache (parse "libx") = None)
+    (fun backend ->
+      let obs = Obs.create () in
+      let packages = base_packages () in
+      let cache = cache_of ~obs backend packages in
+      let ctx = ctx_of packages in
+      let ast = parse "app@1.0+debug" in
+      Alcotest.(check bool) "cold lookup misses" true
+        (Ccache.lookup cache ast = None);
+      let c = concretize_ok ~cache ~backend ctx "app@1.0+debug" in
+      Alcotest.(check int) "one entry" 1 (Ccache.length cache);
+      (match Ccache.lookup cache ast with
+      | Some c' ->
+          Alcotest.(check bool) "hit equals stored" true (Concrete.equal c c')
+      | None -> Alcotest.fail "warm lookup should hit");
+      (* the same AST spelled differently shares the canonical key *)
+      (match Ccache.lookup cache (parse "app +debug @1.0") with
+      | Some _ -> ()
+      | None -> Alcotest.fail "canonicalized spelling should hit");
+      Alcotest.(check int) "misses counted" 2 (Obs.counter obs "ccache.misses");
+      Alcotest.(check bool) "hits counted" true
+        (Obs.counter obs "ccache.hits" >= 2);
+      (* a node of a stored DAG is not an entry of its own *)
+      Alcotest.(check bool) "dependency is not an entry" true
+        (Ccache.lookup cache (parse "libx") = None))
+    Backends.all
 
 let cached_equals_cold () =
-  let packages = base_packages () in
-  let cache = Ccache.create ~context:(mk_context packages) () in
-  let ctx = ctx_of packages in
   List.iter
-    (fun spec ->
-      let cold =
-        match Concretizer.concretize ctx (parse spec) with
-        | Ok c -> c
-        | Error _ -> Alcotest.failf "%s should concretize" spec
-      in
-      let first = concretize_ok ~cache ctx spec in
-      let warm = concretize_ok ~cache ctx spec in
-      Alcotest.(check bool) (spec ^ ": cached = cold") true
-        (Concrete.equal cold first && Concrete.equal cold warm))
-    [ "app"; "app@1.0"; "app+debug"; "libx"; "mympi@1.9"; "mpi" ]
+    (fun backend ->
+      let packages = base_packages () in
+      let cache = cache_of backend packages in
+      let ctx = ctx_of packages in
+      List.iter
+        (fun spec ->
+          let cold =
+            match Backends.solve backend ctx (parse spec) with
+            | Ok c -> c
+            | Error _ -> Alcotest.failf "%s should concretize" spec
+          in
+          let first = concretize_ok ~cache ~backend ctx spec in
+          let warm = concretize_ok ~cache ~backend ctx spec in
+          Alcotest.(check bool) (spec ^ ": cached = cold") true
+            (Concrete.equal cold first && Concrete.equal cold warm))
+        [ "app"; "app@1.0"; "app+debug"; "libx"; "mympi@1.9"; "mpi" ])
+    Backends.all
 
 let reuse_layer () =
-  let obs = Obs.create () in
-  let packages = base_packages () in
-  let cache = Ccache.create ~obs ~context:(mk_context packages) () in
-  (* reuse_hits is recorded on the concretizer context's sink *)
-  let ctx = ctx_of ~obs packages in
-  let installed_spec = concretize_ok ctx "app@1.0" in
-  let installed ast =
-    if Concrete.satisfies installed_spec ast then Some installed_spec else None
-  in
-  let entries_before = Ccache.length cache in
-  let got = concretize_ok ~cache ~installed ctx "app" in
-  Alcotest.(check bool) "reuse returns the installed spec as-is" true
-    (Concrete.equal got installed_spec);
-  Alcotest.(check int) "reuse hit counted" 1
-    (Obs.counter obs "ccache.reuse_hits");
-  Alcotest.(check int) "reuse result not stored back" entries_before
-    (Ccache.length cache);
-  (* a query the store cannot satisfy falls through to the solver *)
-  let solved = concretize_ok ~cache ~installed ctx "app@2.0" in
-  Alcotest.(check bool) "fallthrough solves fresh" true
-    (not (Concrete.equal solved installed_spec))
+  List.iter
+    (fun backend ->
+      let obs = Obs.create () in
+      let packages = base_packages () in
+      let cache = cache_of ~obs backend packages in
+      (* reuse_hits is recorded on the concretizer context's sink *)
+      let ctx = ctx_of ~obs packages in
+      let installed_spec = concretize_ok ~backend ctx "app@1.0" in
+      let installed ast =
+        if Concrete.satisfies installed_spec ast then Some installed_spec
+        else None
+      in
+      let entries_before = Ccache.length cache in
+      let got = concretize_ok ~cache ~installed ~backend ctx "app" in
+      Alcotest.(check bool) "reuse returns the installed spec as-is" true
+        (Concrete.equal got installed_spec);
+      Alcotest.(check int) "reuse hit counted" 1
+        (Obs.counter obs "ccache.reuse_hits");
+      Alcotest.(check int) "reuse result not stored back" entries_before
+        (Ccache.length cache);
+      (* a query the store cannot satisfy falls through to the solver *)
+      let solved = concretize_ok ~cache ~installed ~backend ctx "app@2.0" in
+      Alcotest.(check bool) "fallthrough solves fresh" true
+        (not (Concrete.equal solved installed_spec)))
+    Backends.all
 
 (* --- persistence and invalidation --- *)
 
@@ -244,8 +256,6 @@ let save_load_roundtrip () =
   | Some c' ->
       Alcotest.(check bool) "reloaded entry identical" true (Concrete.equal c c')
   | None -> Alcotest.fail "reloaded cache should hit");
-  Alcotest.(check bool) "seeds rebuilt from entries" true
-    (List.mem_assoc "libx" (Ccache.seeds reloaded));
   Alcotest.(check int) "clean load is not an invalidation" 0
     (Obs.counter obs "ccache.invalidations")
 
@@ -274,10 +284,7 @@ let unrelated_edit_survival () =
   Alcotest.(check bool) "survivor is servable" true
     (Ccache.lookup reloaded (parse "mympi@2.1") <> None);
   Alcotest.(check bool) "evicted entry is not served" true
-    (Ccache.lookup reloaded (parse "app@1.0") = None);
-  (* seeds are harvested from survivors only: no stale libx pin *)
-  Alcotest.(check bool) "no seed from the evicted closure" false
-    (List.mem_assoc "libx" (Ccache.seeds reloaded))
+    (Ccache.lookup reloaded (parse "app@1.0") = None)
 
 let wholesale_base_mismatch () =
   let packages = base_packages () in
@@ -397,7 +404,7 @@ let () =
         ] );
       ( "memo",
         [
-          Alcotest.test_case "lookup/store/seeds" `Quick lookup_store_semantics;
+          Alcotest.test_case "lookup/store" `Quick lookup_store_semantics;
           Alcotest.test_case "cached = cold" `Quick cached_equals_cold;
           Alcotest.test_case "store-aware reuse" `Quick reuse_layer;
         ] );

@@ -1,7 +1,8 @@
 (* The concretization algorithm (paper §3.4, Fig. 6): constraint
    intersection, virtual resolution, parameter policies, conditional
-   dependencies, declared conflicts, every error class, the backtracking
-   extension (§4.5), and whole-universe invariants. *)
+   dependencies, declared conflicts, every error class, the clause
+   backend's recovery of greedy dead-ends (§4.5), and whole-universe
+   invariants. *)
 
 open Ospack_package.Package
 module Repository = Ospack_package.Repository
@@ -9,6 +10,7 @@ module Compilers = Ospack_config.Compilers
 module Config = Ospack_config.Config
 module Concretizer = Ospack_concretize.Concretizer
 module Cerror = Ospack_concretize.Cerror
+module Backends = Ospack_concretize.Backends
 module Concrete = Ospack_spec.Concrete
 module Parser = Ospack_spec.Parser
 module Ast = Ospack_spec.Ast
@@ -342,8 +344,8 @@ let determinism_and_hashes () =
   Alcotest.(check bool) "roots differ" true
     (Concrete.root_hash with_mpich <> Concrete.root_hash with_openmpi)
 
-(* §4.5: greedy fails on the hwloc pattern; backtracking recovers *)
-let backtracking () =
+(* §4.5: greedy fails on the hwloc pattern; the clause backend recovers *)
+let clause_solver () =
   let extra =
     [
       make_pkg "hwloc" [ version "1.8"; version "1.9" ];
@@ -358,24 +360,28 @@ let backtracking () =
   | Ok _ -> Alcotest.fail "greedy should conflict on hwloc"
   | Error (Cerror.Conflict _) -> ()
   | Error e -> Alcotest.failf "wrong greedy error: %s" (Cerror.to_string e));
-  (match Concretizer.concretize_backtracking ctx ast with
+  (match Backends.solve Backends.Clauses ctx ast with
   | Ok c ->
-      Alcotest.(check string) "z-mpi chosen" "1.9"
-        (vstr (node c "hwloc").Concrete.version);
-      Alcotest.(check bool) "used more than one run" true
-        (Concretizer.last_run_count () > 1)
-  | Error e -> Alcotest.failf "backtracking failed: %s" (Cerror.to_string e));
+      Alcotest.(check bool) "z-mpi chosen" true
+        (Concrete.node c "z-mpi" <> None);
+      Alcotest.(check string) "hwloc@1.9" "1.9"
+        (vstr (node c "hwloc").Concrete.version)
+  | Error e -> Alcotest.failf "clause backend failed: %s" (Cerror.to_string e));
   (* an actually unsatisfiable request still fails *)
   (match
-     Concretizer.concretize_backtracking ctx
-       (Parser.parse_exn "pkg-p ^a-mpi")
+     Backends.solve Backends.Clauses ctx (Parser.parse_exn "pkg-p ^a-mpi")
    with
   | Ok _ -> Alcotest.fail "unsatisfiable"
   | Error _ -> ());
-  (* backtracking on a satisfiable spec returns the greedy answer *)
-  match Concretizer.concretize_backtracking ctx (Parser.parse_exn "mpileaks") with
-  | Ok _ -> Alcotest.(check int) "single run" 1 (Concretizer.last_run_count ())
-  | Error e -> Alcotest.failf "unexpected: %s" (Cerror.to_string e)
+  (* on a satisfiable spec the clause backend returns the greedy answer *)
+  let mpileaks = Parser.parse_exn "mpileaks" in
+  match
+    ( Concretizer.concretize ctx mpileaks,
+      Backends.solve Backends.Clauses ctx mpileaks )
+  with
+  | Ok g, Ok c ->
+      Alcotest.(check bool) "greedy answer" true (Concrete.equal g c)
+  | _ -> Alcotest.fail "mpileaks must concretize on both backends"
 
 (* §4.5 future work: compiler-feature requirements *)
 let compiler_features () =
@@ -629,7 +635,7 @@ let () =
         [
           Alcotest.test_case "determinism and sub-DAG sharing (Fig. 9)" `Quick
             determinism_and_hashes;
-          Alcotest.test_case "backtracking solver (§4.5)" `Quick backtracking;
+          Alcotest.test_case "clause solver (§4.5)" `Quick clause_solver;
           Alcotest.test_case "compiler features (§4.5)" `Quick
             compiler_features;
           Alcotest.test_case "decision explanations" `Quick explain_decisions;

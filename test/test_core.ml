@@ -180,20 +180,43 @@ let site_repository () =
   (* the rest of the universe is still visible *)
   ignore (ok (Ospack.spec ctx "mpileaks"))
 
-let backtrack_flag () =
-  let ctx = Context.create () in
+let bare_config_clauses () =
   (* an empty provider preference makes greedy pick bgq-mpi (alphabetical),
-     which conflicts on linux; --backtrack recovers *)
-  let bare =
-    Context.create ~config:(Ospack_config.Config.of_assoc [])
-      ()
+     which conflicts on linux; the clause backend encodes that conflict
+     and picks the next provider *)
+  let bare = Ospack_config.Config.of_assoc [] in
+  (match Ospack.install (Context.create ~config:bare ()) "gerris" with
+  | Ok _ -> Alcotest.fail "greedy should dead-end on bgq-mpi"
+  | Error _ -> ());
+  let clauses =
+    Context.create ~backend:Ospack_concretize.Backends.Clauses ~config:bare ()
   in
-  (match Ospack.install bare "gerris" with
-  | Ok _ -> () (* if greedy succeeded, fine — provider order may save it *)
-  | Error _ ->
-      ignore (ok (Ospack.install ~backtrack:true bare "gerris")));
+  let report = ok (Ospack.install clauses "gerris") in
+  Alcotest.(check bool) "no bgq-mpi on linux" true
+    (Concrete.node report.Ospack.ir_spec "bgq-mpi" = None);
   (* with the default site config greedy just works *)
-  ignore (ok (Ospack.install ctx "gerris"))
+  ignore (ok (Ospack.install (Context.create ()) "gerris"))
+
+(* a traced --fresh solve records the greedy run's spans on the session
+   sink, exactly as a cold solve through the cache does *)
+let fresh_solve_traced () =
+  let module Obs = Ospack_obs.Obs in
+  let concretize_spans ~fresh =
+    let obs = Obs.create () in
+    let ctx = Context.create ~obs () in
+    ignore (ok (Ospack.install ~fresh ctx "mpileaks"));
+    List.filter_map
+      (fun (r : Obs.phase_row) ->
+        if Astring.String.is_prefix ~affix:"concretize." r.Obs.ph_name then
+          Some r.Obs.ph_name
+        else None)
+      (Obs.phase_rows obs)
+  in
+  let fresh = concretize_spans ~fresh:true in
+  Alcotest.(check (list string)) "fresh = cold cached"
+    (concretize_spans ~fresh:false) fresh;
+  Alcotest.(check bool) "iterations traced" true
+    (List.mem "concretize.iteration" fresh)
 
 let hash_queries () =
   let ctx = Context.create () in
@@ -464,7 +487,9 @@ let () =
           Alcotest.test_case "RPATH end-to-end (claim 2)" `Quick
             rpath_end_to_end;
           Alcotest.test_case "site repository (§4.3.2)" `Quick site_repository;
-          Alcotest.test_case "backtracking flag" `Quick backtrack_flag;
+          Alcotest.test_case "clause backend on a bare config" `Quick
+            bare_config_clauses;
+          Alcotest.test_case "fresh solve is traced" `Quick fresh_solve_traced;
           Alcotest.test_case "hash-prefix queries" `Quick hash_queries;
           Alcotest.test_case "merged file-level view" `Quick merged_view;
           Alcotest.test_case "external vendor MPI (§4.4)" `Quick

@@ -5,8 +5,8 @@
    - whenever greedy succeeds, both backends return byte-identical results
      (round 0 of the clause backend IS the greedy run);
    - when greedy fails but a solution exists (the paper's §4.5 hwloc
-     pattern), the clause backend finds it without chronological
-     backtracking, and the result satisfies the query;
+     pattern, or a vendor MPI picked on the wrong machine), the clause
+     backend finds it by propagation, and the result satisfies the query;
    - when no solution exists, both fail with the same typed error and the
      clause backend renders a human-readable unsat core. *)
 
@@ -159,37 +159,6 @@ let differential_property =
               | Error _ -> false
               | Ok cc -> render gc = render cc)))
 
-(* satellite: the backtracking extension agrees with plain greedy whenever
-   greedy succeeds (backtracking only ever explores when greedy fails) *)
-let backtracking_agrees_property =
-  let ctx = lazy (universe_ctx ()) in
-  let gen =
-    QCheck.Gen.(
-      let pkg =
-        oneofl
-          [ "mpileaks"; "callpath"; "dyninst"; "libelf"; "python"; "hypre";
-            "samrai"; "ares"; "lulesh" ]
-      in
-      let form = oneofl [ ""; " %gcc"; " ^mvapich2"; " ^openmpi"; " @1:" ] in
-      let* p = pkg in
-      let* f = form in
-      return (p ^ f))
-  in
-  QCheck.Test.make ~count:120
-    ~name:"concretize_backtracking agrees with concretize on greedy successes"
-    (QCheck.make ~print:(fun s -> s) gen)
-    (fun spec ->
-      match Parser.parse spec with
-      | Error _ -> QCheck.assume_fail ()
-      | Ok ast -> (
-          let ctx = Lazy.force ctx in
-          match Concretizer.concretize ctx ast with
-          | Error _ -> true
-          | Ok g -> (
-              match Concretizer.concretize_backtracking ctx ast with
-              | Error _ -> false
-              | Ok b -> Concrete.equal g b)))
-
 (* ------------------------------------------------------------------ *)
 (* §4.5 divergence: greedy dead-ends, the complete backend solves      *)
 
@@ -216,12 +185,115 @@ let hwloc_divergence () =
             (Version.to_string n.Concrete.version)
       | None -> Alcotest.fail "hwloc missing from the DAG");
       (* solved by unit propagation over the encoding, not by
-         chronological backtracking: no solver conflicts, and exactly
+         search: no solver conflicts, and exactly
          one oracle replay on top of round 0 *)
       Alcotest.(check int) "no solver conflicts"
         0 outcome.I.oc_stats.I.st_conflicts;
       Alcotest.(check int) "round 0 + one oracle replay" 2
         outcome.I.oc_stats.I.st_runs
+
+(* ------------------------------------------------------------------ *)
+(* arch conflicts: exact when every node's arch is static              *)
+
+(* the reasons of every clause the encoding emitted *)
+let reasons enc =
+  List.map (fun (_, o) -> Clauses.reason enc o) (Clauses.clause_list enc)
+
+let arch_conflict_reasons ctx spec =
+  List.filter
+    (fun r -> Astring.String.is_infix ~affix:"conflicts with =" r)
+    (reasons (Clauses.encode ctx (parse spec)))
+
+(* With no provider preference greedy takes providers in name order and
+   picks bgq-mpi on linux, where it conflicts. The clause backend must
+   solve every such spec, byte-identical to greedy wherever greedy
+   succeeds. *)
+let bare_ctx repo =
+  Concretizer.make_ctx ~config:(Config.of_assoc [])
+    ~compilers:Universe.compilers repo
+
+let bare_config_sweep () =
+  let ctx = bare_ctx (Universe.repository ()) in
+  let specs =
+    Repository.package_names (Universe.repository ())
+    @ List.concat_map
+        (fun p ->
+          List.map (fun f -> p ^ f)
+            [ " ^openmpi"; " ^mpich"; " ^mpi+hwloc ^hwloc@1.9" ])
+        [ "mpileaks"; "callpath"; "gerris"; "lulesh"; "hypre"; "samrai";
+          "ares" ]
+  in
+  let solved =
+    List.fold_left
+      (fun n spec ->
+        let ast = parse spec in
+        match
+          ( Backends.solve Backends.Greedy ctx ast,
+            Backends.solve Backends.Clauses ctx ast )
+        with
+        | Ok g, Ok c ->
+            if render g <> render c then
+              Alcotest.failf "%s: backends disagree" spec;
+            n + 1
+        | Ok _, Error e ->
+            Alcotest.failf "%s: clauses failed where greedy succeeded: %s" spec
+              (Cerror.to_string e)
+        | Error _, Ok c ->
+            if not (Concrete.satisfies c ast) then
+              Alcotest.failf "%s: clause model violates the query" spec;
+            n + 1
+        | Error _, Error _ -> n)
+      0 specs
+  in
+  Alcotest.(check int) "battery size" 266 (List.length specs);
+  Alcotest.(check bool)
+    (Printf.sprintf "clauses solve >= 264 of 266 (solved %d)" solved)
+    true (solved >= 264)
+
+(* a small universe where greedy's first provider dead-ends on hwloc, so
+   the clause backend decides between bgq-mpi and openmpi *)
+let vendor_repo () =
+  let open Package in
+  Repository.create
+    [
+      make_pkg "hwloc" [ version "1.8"; version "1.9" ];
+      make_pkg "a-mpi"
+        [ version "1.0"; provides "mpi"; depends_on "hwloc@1.8" ];
+      make_pkg "bgq-mpi"
+        [ version "1.0"; provides "mpi"; conflicts "=linux-x86_64" ];
+      make_pkg "openmpi" [ version "1.8.2"; provides "mpi" ];
+      make_pkg "gerris"
+        [ version "1.0"; depends_on "mpi"; depends_on "hwloc@1.9" ];
+    ]
+
+let arch_root_may_pick_vendor () =
+  let ctx = bare_ctx (vendor_repo ()) in
+  let solve spec =
+    match Backends.solve Backends.Clauses ctx (parse spec) with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "%s: %s" spec (Cerror.to_string e)
+  in
+  (* on BG/Q the conflict cannot fire: bgq-mpi stays the preferred model *)
+  let bgq = solve "gerris=bgq" in
+  Alcotest.(check bool) "bgq-mpi on bgq" true
+    (Concrete.node bgq "bgq-mpi" <> None);
+  Alcotest.(check (list string)) "no arch conflict encoded on bgq" []
+    (arch_conflict_reasons ctx "gerris=bgq");
+  (* on the default arch the encoding rules bgq-mpi out *)
+  let linux = solve "gerris" in
+  Alcotest.(check bool) "openmpi on linux" true
+    (Concrete.node linux "openmpi" <> None);
+  Alcotest.(check (list string)) "arch conflict encoded on linux"
+    [ "bgq-mpi conflicts with =linux-x86_64" ]
+    (arch_conflict_reasons ctx "gerris")
+
+let non_root_arch_stays_with_oracle () =
+  let ctx = universe_ctx () in
+  Alcotest.(check (list string)) "no arch conflict encoded" []
+    (arch_conflict_reasons ctx "gerris ^mvapich2=bgq");
+  Alcotest.(check bool) "a plain query does encode them" true
+    (arch_conflict_reasons ctx "gerris" <> []);
+  check_agreement ctx "gerris ^mvapich2=bgq"
 
 (* ------------------------------------------------------------------ *)
 (* unsat cores and conflict explanations (satellite 6)                 *)
@@ -360,12 +432,19 @@ let () =
           Alcotest.test_case "constraint battery agrees" `Quick
             differential_battery;
           QCheck_alcotest.to_alcotest differential_property;
-          QCheck_alcotest.to_alcotest backtracking_agrees_property;
         ] );
       ( "divergence",
         [
           Alcotest.test_case "§4.5 hwloc: greedy unsat, clauses sat" `Quick
             hwloc_divergence;
+        ] );
+      ( "arch",
+        [
+          Alcotest.test_case "bare-config sweep" `Quick bare_config_sweep;
+          Alcotest.test_case "arch root may pick a vendor MPI" `Quick
+            arch_root_may_pick_vendor;
+          Alcotest.test_case "non-root arch stays with the oracle" `Quick
+            non_root_arch_stays_with_oracle;
         ] );
       ( "explanations",
         [
