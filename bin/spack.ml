@@ -155,9 +155,10 @@ let install_cmd =
       value & opt (some string) None
       & info [ "index-out" ] ~docv:"FILE"
           ~doc:
-            "After the install, write the store's database index (the \
-             on-disk index.json) to $(docv) on the real filesystem — \
-             lets CI compare store state across runs and -j levels.")
+            "After the install, write the store's database index (every \
+             record of its sharded on-disk index, as one JSON document) to \
+             $(docv) on the real filesystem — lets CI compare store state \
+             across runs and -j levels.")
   in
   let trace =
     Arg.(

@@ -11,6 +11,17 @@ dune build @all 2>&1
 echo "== dune runtest"
 dune runtest
 
+echo "== one persistence protocol: no .tmp, Vfs.rename or Crash plan in lib/ outside lib/vfs"
+# Vfs.write_atomic is the only write-then-rename and Vfs.crash_sweep the
+# only loop that arms a Crash fault plan; a second copy of either fails
+# here
+proto=$(grep -rnE '"\.tmp"|Vfs\.rename|~mode:Vfs\.Crash' lib | grep -v '^lib/vfs/' || true)
+if [ -n "$proto" ]; then
+    echo "error: persistence protocol outside lib/vfs (use Vfs.write_atomic / Vfs.crash_sweep):" >&2
+    echo "$proto" >&2
+    exit 1
+fi
+
 echo "== obs smoke: trace a small install, validate it, check BENCH_obs.json"
 # the trace must parse as Chrome trace-event JSON, contain the expected
 # phase spans, and be byte-identical across two runs (virtual clock only)

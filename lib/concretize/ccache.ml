@@ -215,11 +215,5 @@ let load ?(obs = Obs.disabled) ~context:cx fs ~path =
       | Ok json -> of_json ~obs ~context:cx json)
 
 let save t fs ~path =
-  let tmp = path ^ ".tmp" in
-  let rendered = Json.to_string ~indent:2 (to_json t) in
-  match Vfs.write_file fs tmp rendered with
-  | Error e -> Error (Vfs.error_to_string e)
-  | Ok () -> (
-      match Vfs.rename fs ~src:tmp ~dst:path with
-      | Error e -> Error (Vfs.error_to_string e)
-      | Ok () -> Ok ())
+  Vfs.write_atomic fs path (Json.to_string ~indent:2 (to_json t))
+  |> Result.map_error Vfs.error_to_string

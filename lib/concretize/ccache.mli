@@ -30,9 +30,9 @@
     fingerprint, or the entry fingerprint — a stale entry is never
     trusted.
 
-    Persistence is crash-safe: {!save} writes a sibling temp file and
-    {!Ospack_vfs.Vfs.rename}s it over the destination, so readers observe
-    either the old or the new cache, never a torn one. *)
+    Persistence is crash-safe: {!save} goes through
+    {!Ospack_vfs.Vfs.write_atomic}, so readers observe either the old or
+    the new cache, never a torn one. *)
 
 type t
 
@@ -115,4 +115,4 @@ val load :
     cache, an unparsable one counts one invalidation. *)
 
 val save : t -> Ospack_vfs.Vfs.t -> path:string -> (unit, string) result
-(** Persist: write [path ^ ".tmp"], then rename over [path]. *)
+(** Persist atomically with {!Ospack_vfs.Vfs.write_atomic}. *)

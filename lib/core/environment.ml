@@ -36,19 +36,6 @@ let valid_name name =
 
 let ( let* ) = Result.bind
 
-(* Every durable file an environment owns goes through the same
-   write-then-rename protocol as the store index and the ccache: a crash
-   at any barrier leaves the previous file intact (the torture sweep
-   below kills each one). *)
-let write_atomic vfs path content =
-  let tmp = path ^ ".tmp" in
-  match Vfs.write_file vfs tmp content with
-  | Error e -> Error (Vfs.error_to_string e)
-  | Ok () -> (
-      match Vfs.rename vfs ~src:tmp ~dst:path with
-      | Ok () -> Ok ()
-      | Error e -> Error (Vfs.error_to_string e))
-
 let persist (ctx : Context.t) t =
   let manifest =
     Json.Obj
@@ -61,12 +48,13 @@ let persist (ctx : Context.t) t =
           | None -> Json.Null );
       ]
   in
-  let* () =
-    write_atomic ctx.Context.vfs
-      (manifest_path t.env_name)
-      (Json.to_string ~indent:2 manifest ^ "\n")
-  in
-  Ok t
+  (* like every durable file an environment owns, a crash at any barrier
+     leaves the previous manifest intact (the torture sweep below kills
+     each one) *)
+  Vfs.write_atomic ctx.Context.vfs (manifest_path t.env_name)
+    (Json.to_string ~indent:2 manifest ^ "\n")
+  |> Result.map (fun () -> t)
+  |> Result.map_error Vfs.error_to_string
 
 let create (ctx : Context.t) ~name ?view () =
   if not (valid_name name) then
@@ -199,48 +187,12 @@ let render_lock ~fingerprint ~merkle_of pairs =
 
 let write_lock (ctx : Context.t) t pairs =
   let cx = Ccache.context_of ctx.Context.ccache in
-  write_atomic ctx.Context.vfs (lock_path t.env_name)
+  Vfs.write_atomic ctx.Context.vfs (lock_path t.env_name)
     (render_lock ~fingerprint:(current_fingerprint ctx)
        ~merkle_of:(Ccache.entry_fingerprint cx) pairs)
+  |> Result.map_error Vfs.error_to_string
 
-(* Legacy format 1 carried bare concrete specs: no roots, no fingerprint,
-   no checksum. Migration adopts the specs at the {e current} context
-   fingerprint (format 1 recorded nothing to validate against) and
-   rewrites the file in format 2, atomically; root strings come from the
-   manifest when it lines up, else from each spec's own root node. *)
-let migrate_v1 (ctx : Context.t) t j =
-  let* items =
-    match Option.bind (Json.member "specs" j) Json.to_list with
-    | Some items -> Ok items
-    | None -> Error "format 1: missing specs"
-  in
-  let* specs =
-    List.fold_left
-      (fun acc item ->
-        let* specs = acc in
-        let* c = Concrete.of_json item in
-        Ok (c :: specs))
-      (Ok []) items
-    |> Result.map List.rev
-  in
-  let roots = canonical_roots t in
-  let pairs =
-    if List.length roots = List.length specs then List.combine roots specs
-    else
-      List.map
-        (fun c ->
-          let root =
-            match canonical (Concrete.root c) with
-            | Ok r -> r
-            | Error _ -> Concrete.root c
-          in
-          (root, c))
-        specs
-  in
-  let* () = write_lock ctx t pairs in
-  Ok pairs
-
-let parse_lock_v2 j =
+let parse_lock j =
   let field name =
     match Json.member name j with
     | Some v -> Ok v
@@ -323,18 +275,8 @@ let read_lock (ctx : Context.t) t =
       | Error e -> corrupt e
       | Ok j -> (
           match Option.bind (Json.member "format" j) Json.get_int with
-          | Some 1 -> (
-              match migrate_v1 ctx t j with
-              | Error why -> corrupt why
-              | Ok pairs ->
-                  Ok
-                    {
-                      lk_fingerprint = current_fingerprint ctx;
-                      lk_roots = List.map fst pairs;
-                      lk_specs = pairs;
-                    })
           | Some f when f = lock_format -> (
-              match parse_lock_v2 j with
+              match parse_lock j with
               | Error why -> corrupt why
               | Ok (fingerprint, roots, specs) ->
                   let current = current_fingerprint ctx in
@@ -389,7 +331,8 @@ let read_lock (ctx : Context.t) t =
                                    "package recipes drifted under %s"
                                    (String.concat ", " roots);
                              }))
-          | Some f -> corrupt (Printf.sprintf "unknown format %d" f)
+          | Some f ->
+              corrupt (Printf.sprintf "unsupported lockfile format %d" f)
           | None -> corrupt "missing format"))
 
 let locked_specs (ctx : Context.t) t =
@@ -539,8 +482,10 @@ let torture_report_to_string r =
     r.et_barriers r.et_jobs r.et_kills r.et_manifest_intact r.et_lock_intact
 
 (* Run the whole env lifecycle (create, add each root, install) against a
-   fresh context; used once as the reference run and once per kill. *)
-let torture_sequence ?config ?backend ~vfs ~jobs ~name ~view ~roots () =
+   fresh context; once as the reference run, once per kill, and once per
+   recovery. The result is what recovery must converge to: the store
+   index and the lockfile bytes. *)
+let torture_sequence ?config ?backend ~jobs ~name ~view ~roots vfs =
   let ctx = Context.create ?config ?backend ~vfs () in
   let* _ = Installer.load_index ctx.Context.installer in
   let* env =
@@ -558,94 +503,42 @@ let torture_sequence ?config ?backend ~vfs ~jobs ~name ~view ~roots () =
       (Ok env) roots
   in
   let* _report = install ~jobs ctx env in
-  Ok ctx
+  Ok
+    ( Json.to_string
+        (Database.to_json (Installer.database ctx.Context.installer)),
+      Result.to_option (Vfs.read_file vfs (lock_path name)) )
 
-let json_ok s = Result.is_ok (Json.of_string s)
+(* old-or-new: whatever of the file exists at the kill point must be a
+   complete previous version, never a torn write *)
+let intact vfs what path =
+  match Vfs.read_file vfs path with
+  | Error _ -> Ok false
+  | Ok content when Result.is_ok (Json.of_string content) -> Ok true
+  | Ok _ -> Error ("torn " ^ what)
 
-let torture ?(jobs = 1) ?(every = 1) ?config ?backend ~name ?view ~roots ()
-    =
-  let run vfs = torture_sequence ?config ?backend ~vfs ~jobs ~name ~view ~roots () in
-  (* reference run, counting barriers *)
-  let ref_vfs = Vfs.create () in
-  Vfs.set_fault_plan ref_vfs [];
-  let* ref_ctx = run ref_vfs in
-  let barriers = Vfs.write_barriers ref_vfs in
-  Vfs.clear_fault_plan ref_vfs;
-  let ref_lock =
-    match Vfs.read_file ref_vfs (lock_path name) with
-    | Ok c -> c
-    | Error _ -> ""
+let torture ?(jobs = 1) ?every ?config ?backend ~name ?view ~roots () =
+  let run = torture_sequence ?config ?backend ~jobs ~name ~view ~roots in
+  let* barriers, kills =
+    Vfs.crash_sweep ?every ~world:Vfs.create ~run
+      (fun (ref_db, ref_lock) _k vfs ->
+        let* manifest_ok = intact vfs "manifest" (manifest_path name) in
+        let* lock_ok = intact vfs "lockfile" (lock_path name) in
+        (* recovery: a fresh context over the crashed filesystem must
+           converge to exactly the reference store and lockfile *)
+        let* db, lock =
+          Result.map_error (fun e -> "recovery: " ^ e) (run vfs)
+        in
+        if db <> ref_db then Error "recovered index diverged"
+        else if lock = None then Error "no lockfile after recovery"
+        else if lock <> ref_lock then Error "recovered lockfile diverged"
+        else Ok (manifest_ok, lock_ok))
   in
-  let ref_db =
-    Json.to_string
-      (Database.to_json (Installer.database ref_ctx.Context.installer))
-  in
-  let kills = ref 0 and manifest_intact = ref 0 and lock_intact = ref 0 in
-  let rec sweep k =
-    if k > barriers then Ok ()
-    else begin
-      let vfs = Vfs.create () in
-      Vfs.set_fault_plan vfs ~mode:Vfs.Crash [ k ];
-      let killed = run vfs in
-      Vfs.clear_fault_plan vfs;
-      let* () =
-        match killed with
-        | Ok _ -> Error (Printf.sprintf "install survived kill point %d" k)
-        | Error _ -> Ok ()
-      in
-      (* old-or-new: whatever of the manifest/lockfile exists at the kill
-         point must be a complete previous version, never a torn write *)
-      let* () =
-        match Vfs.read_file vfs (manifest_path name) with
-        | Error _ -> Ok ()
-        | Ok content ->
-            if json_ok content then begin
-              incr manifest_intact;
-              Ok ()
-            end
-            else Error (Printf.sprintf "torn manifest at kill point %d" k)
-      in
-      let* () =
-        match Vfs.read_file vfs (lock_path name) with
-        | Error _ -> Ok ()
-        | Ok content ->
-            if json_ok content then begin
-              incr lock_intact;
-              Ok ()
-            end
-            else Error (Printf.sprintf "torn lockfile at kill point %d" k)
-      in
-      (* recovery: a fresh context over the crashed filesystem must
-         converge to exactly the reference store and lockfile *)
-      let* ctx2 =
-        Result.map_error
-          (fun e -> Printf.sprintf "recovery at kill point %d: %s" k e)
-          (run vfs)
-      in
-      let db2 =
-        Json.to_string
-          (Database.to_json (Installer.database ctx2.Context.installer))
-      in
-      let* () =
-        if db2 = ref_db then Ok ()
-        else Error (Printf.sprintf "recovered index diverged at kill %d" k)
-      in
-      let* () =
-        match Vfs.read_file vfs (lock_path name) with
-        | Ok c when c = ref_lock -> Ok ()
-        | Ok _ -> Error (Printf.sprintf "recovered lockfile diverged at kill %d" k)
-        | Error _ -> Error (Printf.sprintf "no lockfile after recovery at kill %d" k)
-      in
-      incr kills;
-      sweep (k + every)
-    end
-  in
-  let* () = sweep 1 in
+  let count f = List.length (List.filter f kills) in
   Ok
     {
       et_jobs = jobs;
       et_barriers = barriers;
-      et_kills = !kills;
-      et_manifest_intact = !manifest_intact;
-      et_lock_intact = !lock_intact;
+      et_kills = List.length kills;
+      et_manifest_intact = count fst;
+      et_lock_intact = count snd;
     }

@@ -24,8 +24,8 @@
     ({!Commands.view_closure}), so N environments share one store with
     disjoint, closure-exact views.
 
-    All durable files (manifest, lockfile) are written with the
-    write-then-rename protocol; {!torture} kills the whole lifecycle at
+    All durable files (manifest, lockfile) are written with
+    {!Ospack_vfs.Vfs.write_atomic}; {!torture} kills the whole lifecycle at
     every filesystem barrier and checks old-or-new integrity plus
     recovery convergence. *)
 
@@ -41,8 +41,8 @@ val manifest_path : string -> string
 val lock_path : string -> string
 
 val lock_format : int
-(** Current lockfile format (2). Format-1 lockfiles (bare spec lists) are
-    migrated in place on first read. *)
+(** Current lockfile format (2). Any other format is refused as
+    [Lock_corrupt]. *)
 
 val create :
   Context.t -> name:string -> ?view:string -> unit -> (t, string) result
@@ -84,9 +84,7 @@ type lock = {
 val read_lock : Context.t -> t -> (lock, lock_error) result
 (** Read and validate the lockfile: checksum, per-spec hash consistency,
     context fingerprint, per-spec Merkle recipe fingerprints, and that
-    the locked roots still match the manifest. Format-1 files are
-    migrated to format 2 (atomically) and adopted at the current
-    fingerprint. *)
+    the locked roots still match the manifest. *)
 
 val write_lock :
   Context.t ->
@@ -162,7 +160,7 @@ val torture :
   (torture_report, string) result
 (** Run the env lifecycle (create, add each root, install) to completion
     counting write barriers, then replay it on a fresh filesystem killed
-    at every [every]-th barrier ({!Ospack_vfs.Vfs.Crash} mode). At each
+    at every [every]-th barrier ({!Ospack_vfs.Vfs.crash_sweep}). At each
     kill point the manifest and lockfile must be absent or a complete
     previous version (never torn), and a fresh context over the crashed
     filesystem must re-run the lifecycle to a store index and lockfile

@@ -39,23 +39,17 @@ let create vfs ~root = { vfs; root }
 let root t = t.root
 
 (* Entries live under <2-hex> shard directories keyed by hash prefix —
-   the PR 7 store-index layout — so a fleet-sized cache never funnels
-   every entry through one directory listing. Entries written by the old
-   flat layout ([<root>/<hash>.json]) stay readable forever. *)
+   the store-index layout — so a fleet-sized cache never funnels every
+   entry through one directory listing. *)
 let shard_of_hash hash =
   if String.length hash >= 2 then String.sub hash 0 2 else hash
 
 let entry_path t hash =
   Printf.sprintf "%s/%s/%s.json" t.root (shard_of_hash hash) hash
 
-let legacy_entry_path t hash = Printf.sprintf "%s/%s.json" t.root hash
-
 let find_entry t hash =
-  let sharded = entry_path t hash in
-  if Vfs.is_file t.vfs sharded then Some sharded
-  else
-    let flat = legacy_entry_path t hash in
-    if Vfs.is_file t.vfs flat then Some flat else None
+  let path = entry_path t hash in
+  if Vfs.is_file t.vfs path then Some path else None
 
 let has t ~hash = find_entry t hash <> None
 
@@ -93,76 +87,34 @@ let manifest_shards t =
           | Some items ->
               List.filter_map (fun s -> Json.get_string s) items))
 
-let listed_shards t =
-  match Vfs.ls t.vfs t.root with
-  | Error _ -> []
-  | Ok entries ->
-      List.filter
-        (fun e -> is_shard_name e && Vfs.is_dir t.vfs (t.root ^ "/" ^ e))
-        entries
-
-(* Healing sweep: a crash between an entry's tmp write and its rename
-   strands a [.tmp] file; listing is where every reader converges, so the
-   sweep lives here. Removal is not a write barrier, so torture math over
-   [save] stays exact. *)
-let sweep_tmp t dir entries =
+let shard_dirs t names =
   List.filter
-    (fun e ->
-      if Filename.check_suffix e ".tmp" then begin
-        ignore (Vfs.remove t.vfs ~recursive:false (dir ^ "/" ^ e));
-        false
-      end
-      else true)
-    entries
+    (fun e -> is_shard_name e && Vfs.is_dir t.vfs (t.root ^ "/" ^ e))
+    names
 
+let listed_shards t =
+  shard_dirs t (Result.value (Vfs.ls t.vfs t.root) ~default:[])
+
+(* Listing is where every reader converges, so it sweeps the [.tmp]
+   litter of interrupted saves. *)
 let cached_hashes t =
-  match Vfs.ls t.vfs t.root with
-  | Error _ -> []
-  | Ok entries ->
-      let entries = sweep_tmp t t.root entries in
-      let flat =
-        List.filter_map
-          (fun e ->
-            if
-              Filename.check_suffix e ".json"
-              && e <> "manifest.json"
-              && Vfs.is_file t.vfs (t.root ^ "/" ^ e)
-            then Some (Filename.chop_suffix e ".json")
-            else None)
-          entries
-      in
-      let sharded =
-        List.concat_map
-          (fun shard ->
-            let dir = t.root ^ "/" ^ shard in
-            match Vfs.ls t.vfs dir with
-            | Error _ -> []
-            | Ok names ->
-                List.filter_map
-                  (fun n ->
-                    if Filename.check_suffix n ".json" then
-                      Some (Filename.chop_suffix n ".json")
-                    else None)
-                  (sweep_tmp t dir names))
-          (List.filter is_shard_name entries
-          |> List.filter (fun e -> Vfs.is_dir t.vfs (t.root ^ "/" ^ e)))
-      in
-      List.sort_uniq String.compare (flat @ sharded)
+  let listed dir = Result.value (Vfs.sweep_tmp t.vfs dir) ~default:[] in
+  List.concat_map
+    (fun shard ->
+      List.filter_map
+        (fun n ->
+          if Filename.check_suffix n ".json" then
+            Some (Filename.chop_suffix n ".json")
+          else None)
+        (listed (t.root ^ "/" ^ shard)))
+    (shard_dirs t (listed t.root))
+  |> List.sort_uniq String.compare
 
 let ( let* ) = Result.bind
 
 let io op path = function
   | Ok v -> Ok v
   | Error e -> Error (Cache_io { io_op = op; io_path = path; io_cause = e })
-
-(* crash-safe entry persistence: the bytes land under a [.tmp] name and
-   become visible only through the atomic rename — a kill at any barrier
-   leaves either no entry or a complete one, never a truncated JSON that
-   would poison later extracts *)
-let write_atomic t ~path content =
-  let tmp = path ^ ".tmp" in
-  let* () = io "write" tmp (Vfs.write_file t.vfs tmp content) in
-  io "rename" path (Vfs.rename t.vfs ~src:tmp ~dst:path)
 
 (* keep the root manifest in step with the live shard set; staleness is
    harmless (readers union with the listing) so this runs after the entry
@@ -171,8 +123,10 @@ let update_manifest t shard =
   let known = manifest_shards t in
   if List.mem shard known then Ok ()
   else
-    write_atomic t ~path:(manifest_path t)
-      (manifest_content (shard :: (known @ listed_shards t)))
+    let path = manifest_path t in
+    io "write" path
+      (Vfs.write_atomic t.vfs path
+         (manifest_content (shard :: (known @ listed_shards t))))
 
 let archive_prefix t ~prefix =
   (* every walk entry must archive; a file we cannot read is an error,
@@ -244,7 +198,12 @@ let save t ~install_root (record : Database.record) =
         let shard = shard_of_hash hash in
         let shard_dir = t.root ^ "/" ^ shard in
         let* () = io "mkdir" shard_dir (Vfs.mkdir_p t.vfs shard_dir) in
-        let* () = write_atomic t ~path:(entry_path t hash) (Json.to_string entry) in
+        (* a kill at any barrier leaves either no entry or a complete
+           one, never a truncated JSON that would poison later extracts *)
+        let path = entry_path t hash in
+        let* () =
+          io "write" path (Vfs.write_atomic t.vfs path (Json.to_string entry))
+        in
         update_manifest t shard
 
 (* Textual relocation, path-token-boundary-aware: an occurrence of
@@ -337,12 +296,11 @@ let load_entry t ~hash =
       in
       (* completeness guard: an entry whose file list does not match its
          recorded count is truncated (partial write, hand-editing) and
-         must not extract into a plausible-looking but incomplete prefix.
-         Entries predating the count carry no guard — they extract
-         leniently, which the format-legacy tests pin down. *)
+         must not extract into a plausible-looking but incomplete
+         prefix *)
       let* () =
         match Option.bind (Json.member "file_count" entry) Json.get_int with
-        | None -> Ok () (* legacy entry predating the count *)
+        | None -> corrupt path "entry missing file_count"
         | Some expected when expected = List.length items -> Ok ()
         | Some expected ->
             corrupt path

@@ -102,7 +102,7 @@ let stats t =
 
    The database persists as hash-prefix shards under
    [.spack-db/index/<2-hex>.json] plus a tiny manifest listing the live
-   shard set, every file written via write-then-rename. The installer
+   shard set, every file written with Vfs.write_atomic. The installer
    tracks which shards hold changed records ([dirty_shards]), so a node
    attempt rewrites only its own shard — write cost proportional to the
    change, not the store. A crash between a node's first durable write
@@ -129,7 +129,6 @@ let store_error_to_string = function
       Printf.sprintf "db index: %s: %s" se_path se_reason
 
 let db_root t = t.install_root ^ "/.spack-db"
-let index_path t = db_root t ^ "/index.json"
 let index_dir t = db_root t ^ "/index"
 let manifest_path t = index_dir t ^ "/manifest.json"
 let shard_path t key = index_dir t ^ "/" ^ key ^ ".json"
@@ -154,17 +153,13 @@ let live_shards t =
     (fun s (r : Database.record) -> SSet.add (shard_of_hash r.r_hash) s)
     SSet.empty (Database.all t.db)
 
-let write_atomic t ~path content =
-  let tmp = path ^ ".tmp" in
-  match Vfs.write_file t.vfs tmp content with
-  | Error e -> Error (Store_io { se_action = "write"; se_path = tmp; se_cause = e })
-  | Ok () -> (
-      match Vfs.rename t.vfs ~src:tmp ~dst:path with
-      | Error e ->
-          Error (Store_io { se_action = "rename"; se_path = path; se_cause = e })
-      | Ok () ->
-          t.index_bytes <- t.index_bytes + String.length content;
-          Ok ())
+let write_index_file t ~path content =
+  match Vfs.write_atomic t.vfs path content with
+  | Error e ->
+      Error (Store_io { se_action = "write"; se_path = path; se_cause = e })
+  | Ok () ->
+      t.index_bytes <- t.index_bytes + String.length content;
+      Ok ()
 
 let shard_content t key =
   let records =
@@ -197,7 +192,7 @@ let save_index t =
     | key :: rest ->
         let* () =
           if SSet.mem key live then
-            write_atomic t ~path:(shard_path t key) (shard_content t key)
+            write_index_file t ~path:(shard_path t key) (shard_content t key)
           else (
             (* the shard's last record was uninstalled: drop the file *)
             match Vfs.remove t.vfs (shard_path t key) with
@@ -214,7 +209,9 @@ let save_index t =
   let* () = persist (SSet.elements t.dirty_shards) in
   if SSet.equal live t.manifest_shards then Ok ()
   else
-    let* () = write_atomic t ~path:(manifest_path t) (manifest_content live) in
+    let* () =
+      write_index_file t ~path:(manifest_path t) (manifest_content live)
+    in
     t.manifest_shards <- live;
     Ok ()
 
@@ -327,61 +324,21 @@ let load_index_typed t =
   in
   List.iter (Database.add t.db) shard_records;
   t.manifest_shards <- live_shards t;
-  (* 2. transparently migrate a legacy single-file index: merge its
-     records, rewrite them as shards, then retire the file (idempotent —
-     a crash mid-migration just re-runs it on the next load) *)
-  let* () =
-    match Vfs.read_file t.vfs (index_path t) with
-    | Error (Vfs.Not_found _) -> Ok ()
-    | Error e ->
-        Error
-          (Store_io
-             { se_action = "read"; se_path = index_path t; se_cause = e })
-    | Ok content -> (
-        match Json.of_string content with
-        | Error e ->
-            Error (Store_corrupt { se_path = index_path t; se_reason = e })
-        | Ok j -> (
-            match Database.of_json j with
-            | Error e ->
-                Error (Store_corrupt { se_path = index_path t; se_reason = e })
-            | Ok legacy ->
-                let records = Database.all legacy in
-                List.iter (add_record t) records;
-                let* () = save_index t in
-                match Vfs.remove t.vfs (index_path t) with
-                | Ok () | Error (Vfs.Not_found _) -> Ok ()
-                | Error e ->
-                    Error
-                      (Store_io
-                         { se_action = "remove"; se_path = index_path t;
-                           se_cause = e })))
-  in
-  (* 3. crash recovery: clear orphaned pending prefixes *)
+  (* 2. crash recovery: clear orphaned pending prefixes *)
   let recovered = recover_pending t in
   if recovered > 0 then Obs.count t.obs "db.recovered_orphans" recovered;
-  (* 4. heal the index scaffolding: a crash between a tmp write and its
+  (* 3. heal the index scaffolding: a crash between a tmp write and its
      rename strands the .tmp, and a crash between a shard rename and the
      manifest update leaves the manifest stale. Readers tolerate both
      (stored_shards unions the listing), but healing here makes a
      recovered store byte-identical to one that never crashed. *)
   let* () =
-    match Vfs.ls t.vfs (index_dir t) with
-    | Error _ -> Ok ()
-    | Ok names ->
-        List.fold_left
-          (fun acc n ->
-            let* () = acc in
-            if not (Filename.check_suffix n ".tmp") then Ok ()
-            else
-              let path = index_dir t ^ "/" ^ n in
-              match Vfs.remove t.vfs path with
-              | Ok () | Error (Vfs.Not_found _) -> Ok ()
-              | Error e ->
-                  Error
-                    (Store_io
-                       { se_action = "remove"; se_path = path; se_cause = e }))
-          (Ok ()) names
+    match Vfs.sweep_tmp t.vfs (index_dir t) with
+    | Ok _ | Error (Vfs.Not_found _) -> Ok ()
+    | Error e ->
+        Error
+          (Store_io
+             { se_action = "remove"; se_path = index_dir t; se_cause = e })
   in
   let live = live_shards t in
   let* () =
@@ -391,7 +348,7 @@ let load_index_typed t =
       | Ok on_disk -> on_disk <> desired
       | Error _ -> not (SSet.is_empty live)
     in
-    if stale then write_atomic t ~path:(manifest_path t) desired else Ok ()
+    if stale then write_index_file t ~path:(manifest_path t) desired else Ok ()
   in
   t.manifest_shards <- live;
   Ok (Database.count t.db - before)

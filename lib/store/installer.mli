@@ -245,7 +245,7 @@ val splice :
     The database persists as hash-prefix shards
     ([<install_root>/.spack-db/index/<2-hex>.json] — first two hex
     characters of the record hash) plus a manifest listing the live
-    shard set, each file written via write-then-rename. Only shards
+    shard set, each file written via {!Ospack_vfs.Vfs.write_atomic}. Only shards
     holding changed records are rewritten on a save, so per-node index
     cost is proportional to the change, not the store. A pending marker
     ([.spack-db/pending/<hash>]) brackets every prefix materialization;
@@ -255,19 +255,14 @@ val splice :
 
 type store_error =
   | Store_io of {
-      se_action : string;  (** ["write"] / ["rename"] / ["read"] / ["remove"] *)
+      se_action : string;  (** ["write"] / ["read"] / ["remove"] *)
       se_path : string;
       se_cause : Ospack_vfs.Vfs.error;
     }
   | Store_corrupt of { se_path : string; se_reason : string }
-      (** unparsable shard, manifest, or legacy index *)
+      (** unparsable shard or manifest *)
 
 val store_error_to_string : store_error -> string
-
-val index_path : t -> string
-(** Path of the legacy single-file index
-    ([<install_root>/.spack-db/index.json]) — no longer written;
-    {!load_index} migrates it to shards transparently. *)
 
 val index_dir : t -> string
 (** Directory holding the index shards ([<install_root>/.spack-db/index]). *)
@@ -290,8 +285,7 @@ val load_index : t -> (int, string) result
 (** Merge the records of the on-disk index into this installer's database
     — how a fresh process picks up an existing store on the same
     filesystem. Reads every shard named by the manifest or present in the
-    index directory, transparently migrates a legacy single-file
-    [index.json] (rewriting it as shards and retiring the file), and runs
-    pending-marker crash recovery (orphaned prefixes are deleted and
-    counted on the [db.recovered_orphans] obs counter). Returns the
-    number of records merged ([Ok 0] when no index exists yet). *)
+    index directory, runs pending-marker crash recovery (orphaned
+    prefixes are deleted and counted on the [db.recovered_orphans] obs
+    counter) and sweeps [.tmp] litter. Returns the number of records
+    merged ([Ok 0] when no index exists yet). *)

@@ -337,3 +337,62 @@ let remove fs ?(recursive = false) path =
   | Some _ ->
       Hashtbl.remove dir name;
       Ok ()
+
+(* ------------------------------------------------------------------ *)
+(* The persistence protocol: the one place that knows the [.tmp] name
+   and the write-then-rename order. *)
+
+let tmp_suffix = ".tmp"
+
+let write_atomic fs path content =
+  let tmp = path ^ tmp_suffix in
+  let* () = write_file fs tmp content in
+  rename fs ~src:tmp ~dst:path
+
+(* Removal is not a write barrier, so a sweep never shifts the kill
+   points of a crash sweep over the code that calls it. *)
+let sweep_tmp fs dir =
+  let* names = ls fs dir in
+  List.fold_left
+    (fun acc name ->
+      let* kept = acc in
+      if not (Filename.check_suffix name tmp_suffix) then Ok (name :: kept)
+      else
+        match remove fs (Vpath.join dir name) with
+        | Ok () | Error (Not_found _) -> Ok kept
+        | Error e -> Error e)
+    (Ok []) names
+  |> Result.map List.rev
+
+(* Determinism does the heavy lifting: before the armed barrier a killed
+   run is byte-for-byte the reference run, so barrier k is always reached
+   and the crashed filesystem is exactly "the reference run, dead at its
+   k-th durability boundary". *)
+let crash_sweep ?(every = 1) ~world ~run check =
+  if every < 1 then Error "every must be >= 1"
+  else
+    let fs = world () in
+    set_fault_plan fs [];
+    let reference = run fs in
+    let barriers = write_barriers fs in
+    clear_fault_plan fs;
+    match reference with
+    | Error e -> Error ("reference run failed: " ^ e)
+    | Ok reference ->
+        let rec go k acc =
+          if k > barriers then Ok (barriers, List.rev acc)
+          else
+            let fs = world () in
+            set_fault_plan fs ~mode:Crash [ k ];
+            let killed = run fs in
+            clear_fault_plan fs;
+            let checked =
+              match killed with
+              | Ok _ -> Error "the run survived an armed crash plan"
+              | Error _ -> check reference k fs
+            in
+            match checked with
+            | Error e -> Error (Printf.sprintf "kill point %d: %s" k e)
+            | Ok r -> go (k + every) (r :: acc)
+        in
+        go 1 []

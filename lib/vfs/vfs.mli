@@ -133,3 +133,38 @@ val rename : t -> src:string -> dst:string -> (unit, error) result
 val remove : t -> ?recursive:bool -> string -> (unit, error) result
 (** Remove a file, symlink (not its target), or directory. Non-empty
     directories require [~recursive:true]. *)
+
+(** {1 Persistence protocol}
+
+    Every durable file in ospack (index shards and their manifest, the
+    ccache, environment manifests and lockfiles, buildcache entries) is
+    written through {!write_atomic}, and every crash-consistency torture
+    runs on {!crash_sweep}. *)
+
+val write_atomic : t -> string -> string -> (unit, error) result
+(** Write [content] to [<path>.tmp], then {!rename} it over [path]: two
+    write barriers, and a kill at either leaves the previous file (or
+    none) in place — readers never see a torn file. A kill between the
+    two strands the [.tmp] file, which {!sweep_tmp} clears. *)
+
+val sweep_tmp : t -> string -> (string list, error) result
+(** Remove the [*.tmp] files an interrupted {!write_atomic} left in a
+    directory and return the remaining sorted entry names. Removal is
+    not a write barrier. *)
+
+val crash_sweep :
+  ?every:int ->
+  world:(unit -> t) ->
+  run:(t -> ('a, string) result) ->
+  ('a -> int -> t -> ('b, string) result) ->
+  (int * 'b list, string) result
+(** [crash_sweep ~world ~run check] kills [run] at its write barriers.
+    [world ()] builds a fresh, pre-populated filesystem. The reference
+    run executes once on it under a count-only plan, so only the
+    workload's own barriers count. Then for [k = 1, 1+every, …] up to
+    that count, [run] replays on a fresh world with a {!Crash} plan armed
+    at [k] and must fail. The plan is disarmed and
+    [check reference k fs] judges the crashed filesystem. Returns the
+    reference barrier count and the per-kill results in kill order; the
+    first error stops the sweep and is prefixed with ["kill point k: "].
+    [every] (default 1) samples every [every]-th barrier. *)

@@ -1,6 +1,6 @@
 (* The hardened binary cache: crash-safe entry writes (torture at every
    barrier), token-boundary relocation, extraction that clears stale
-   orphans, legacy-entry compatibility, the simulated mirror fleet
+   orphans, the required file count, the simulated mirror fleet
    (deterministic zipf traces, retry/failover, source-build fallback),
    and splicing a cached binary onto a different dependency. *)
 
@@ -70,63 +70,60 @@ let save_crash_torture () =
   let world () =
     let vfs = Vfs.create () in
     mk_prefix vfs "/r1/pkg";
-    (vfs, Buildcache.create vfs ~root:"/cache")
+    vfs
   in
-  (* reference run: count the durability boundaries a save crosses *)
-  let ref_vfs, ref_cache = world () in
-  let b0 = Vfs.write_barriers ref_vfs in
-  save_exn ref_cache ~install_root:"/r1" (record spec "/r1/pkg");
-  let barriers = Vfs.write_barriers ref_vfs - b0 in
-  Alcotest.(check bool) "save crosses several barriers" true (barriers >= 2);
-  for k = 1 to barriers do
-    let vfs, cache = world () in
-    Vfs.set_fault_plan vfs ~mode:Vfs.Crash [ k ];
-    (match Buildcache.save cache ~install_root:"/r1" (record spec "/r1/pkg") with
-    | Ok () -> Alcotest.failf "kill point %d: save survived a crash" k
-    | Error _ -> ());
-    Vfs.clear_fault_plan vfs;
-    (* the entry is absent or fully valid — never truncated *)
-    if Buildcache.has cache ~hash then (
-      match
-        Buildcache.extract cache ~hash ~install_root:"/r1" ~prefix:"/chk/pkg"
-      with
-      | Ok _ ->
-          Alcotest.(check bool)
-            (Printf.sprintf "kill point %d: surviving entry extracts" k)
-            true
-            (Vfs.is_file vfs "/chk/pkg/bin/tool")
-      | Error e ->
-          Alcotest.failf "kill point %d: surviving entry corrupt: %s" k
-            (Buildcache.error_to_string e));
-    (* listing sweeps interrupted [.tmp] litter and never reports it *)
-    let listed = Buildcache.cached_hashes cache in
-    List.iter
-      (fun h ->
-        if Astring.String.is_suffix ~affix:".tmp" h then
-          Alcotest.failf "kill point %d: tmp litter listed: %s" k h)
-      listed;
-    List.iter
-      (fun (p, kind) ->
-        if kind <> Vfs.Dir && Astring.String.is_suffix ~affix:".tmp" p then
-          Alcotest.failf "kill point %d: tmp litter survived the sweep: %s" k p)
-      (Vfs.walk vfs "/cache");
-    (* a rerun of the same save repairs the cache completely *)
-    save_exn cache ~install_root:"/r1" (record spec "/r1/pkg");
-    match
-      Buildcache.extract cache ~hash ~install_root:"/r2" ~prefix:"/out/pkg"
-    with
-    | Ok _ ->
-        (match Vfs.read_file vfs "/out/pkg/bin/tool" with
-        | Ok c ->
-            Alcotest.(check string)
-              (Printf.sprintf "kill point %d: repaired entry relocates" k)
-              "prefix=/r2/pkg\n" c
-        | Error e ->
-            Alcotest.failf "kill point %d: read: %s" k (Vfs.error_to_string e))
-    | Error e ->
-        Alcotest.failf "kill point %d: re-save did not repair: %s" k
-          (Buildcache.error_to_string e)
-  done
+  let save vfs =
+    Buildcache.save (Buildcache.create vfs ~root:"/cache") ~install_root:"/r1"
+      (record spec "/r1/pkg")
+    |> Result.map_error Buildcache.error_to_string
+  in
+  let ( let* ) = Result.bind in
+  let extract cache ~install_root ~prefix =
+    Buildcache.extract cache ~hash ~install_root ~prefix
+    |> Result.map_error Buildcache.error_to_string
+  in
+  let sweep =
+    Vfs.crash_sweep ~world ~run:save (fun () _k vfs ->
+        let cache = Buildcache.create vfs ~root:"/cache" in
+        (* the entry is absent or fully valid — never truncated *)
+        let* () =
+          if not (Buildcache.has cache ~hash) then Ok ()
+          else
+            let* _ = extract cache ~install_root:"/r1" ~prefix:"/chk/pkg" in
+            if Vfs.is_file vfs "/chk/pkg/bin/tool" then Ok ()
+            else Error "surviving entry extracted incompletely"
+        in
+        (* listing sweeps interrupted [.tmp] litter and never reports it *)
+        let is_tmp = Astring.String.is_suffix ~affix:".tmp" in
+        let* () =
+          match List.find_opt is_tmp (Buildcache.cached_hashes cache) with
+          | Some h -> Error ("tmp litter listed: " ^ h)
+          | None -> Ok ()
+        in
+        let* () =
+          match
+            List.find_opt
+              (fun (p, kind) -> kind <> Vfs.Dir && is_tmp p)
+              (Vfs.walk vfs "/cache")
+          with
+          | Some (p, _) -> Error ("tmp litter survived the sweep: " ^ p)
+          | None -> Ok ()
+        in
+        (* a rerun of the same save repairs the cache completely *)
+        let* () = save vfs in
+        let* _ = extract cache ~install_root:"/r2" ~prefix:"/out/pkg" in
+        match Vfs.read_file vfs "/out/pkg/bin/tool" with
+        | Ok "prefix=/r2/pkg\n" -> Ok ()
+        | Ok c -> Error ("repaired entry relocated to " ^ String.escaped c)
+        | Error e -> Error (Vfs.error_to_string e))
+  in
+  match sweep with
+  | Error e -> Alcotest.fail e
+  | Ok (barriers, kills) ->
+      Alcotest.(check bool) "save crosses several barriers" true
+        (barriers >= 2);
+      Alcotest.(check int) "killed at every barrier" barriers
+        (List.length kills)
 
 (* transient faults are typed, so the fleet can retry them; everything
    else is terminal *)
@@ -203,59 +200,48 @@ let extract_clears_orphans () =
   Alcotest.(check bool) "stale orphan cleared" false
     (Vfs.is_file vfs "/dest/pkg/bin/orphan")
 
-(* --- legacy entries (no file_count) still load ----------------------- *)
+(* --- an entry without its file count is refused ----------------------- *)
 
-let legacy_entries () =
+(* without a recorded count a dropped file would extract into an
+   incomplete prefix, so the count is required *)
+let file_count_required () =
   let module Json = Ospack_json.Json in
   let vfs = Vfs.create () in
+  mk_prefix vfs "/r1/pkg";
   let cache = Buildcache.create vfs ~root:"/cache" in
   let spec = concretize "libelf" in
   let hash = Concrete.root_hash spec in
+  save_exn cache ~install_root:"/r1" (record spec "/r1/pkg");
+  let path = Buildcache.entry_path cache hash in
   let entry =
-    Json.Obj
-      [
-        ("format", Json.Int 1);
-        ("install_root", Json.String "/r1");
-        ("prefix", Json.String "/r1/pkg");
-        ("spec", Concrete.to_json spec);
-        ( "files",
-          Json.List
-            [
-              Json.Obj
-                [
-                  ("rel", Json.String "bin/tool");
-                  ("kind", Json.String "file");
-                  ("content", Json.String "prefix=/r1/pkg\n");
-                ];
-            ] );
-      ]
+    match Result.map Json.of_string (Vfs.read_file vfs path) with
+    | Ok (Ok (Json.Obj fields)) -> fields
+    | _ -> Alcotest.fail "saved entry unreadable"
   in
-  (* pre-shard layout: a flat file directly under the cache root *)
-  ok "write"
-    (Vfs.write_file vfs ("/cache/" ^ hash ^ ".json") (Json.to_string entry));
-  Alcotest.(check bool) "legacy flat entry found" true
-    (Buildcache.has cache ~hash);
-  Alcotest.(check (list string)) "legacy entry listed" [ hash ]
-    (Buildcache.cached_hashes cache);
-  (match Buildcache.entry_spec cache ~hash with
-  | Ok stored ->
-      Alcotest.(check string) "legacy spec round-trips" hash
-        (Concrete.root_hash stored)
-  | Error e ->
-      Alcotest.failf "legacy entry_spec: %s" (Buildcache.error_to_string e));
+  (* drop the count and the one regular file (bin/tool), keeping the
+     directory and the symlink *)
+  let regular f = Json.member "kind" f = Some (Json.String "file") in
+  let stripped =
+    List.filter_map
+      (fun (k, v) ->
+        match (k, v) with
+        | "file_count", _ -> None
+        | "files", Json.List files ->
+            Some (k, Json.List (List.filter (fun f -> not (regular f)) files))
+        | _ -> Some (k, v))
+      entry
+  in
+  ok "rewrite" (Vfs.write_file vfs path (Json.to_string (Json.Obj stripped)));
   match
     Buildcache.extract cache ~hash ~install_root:"/r2" ~prefix:"/dest/pkg"
   with
-  | Ok _ ->
-      (* without a recorded count, truncation is undetectable by design:
-         the entry extracts leniently with whatever files it lists *)
-      (match Vfs.read_file vfs "/dest/pkg/bin/tool" with
-      | Ok c ->
-          Alcotest.(check string) "legacy entry extracts and relocates"
-            "prefix=/r2/pkg\n" c
-      | Error e -> Alcotest.failf "read: %s" (Vfs.error_to_string e))
+  | Ok _ -> Alcotest.fail "an entry without file_count extracted"
+  | Error (Buildcache.Cache_corrupt _) ->
+      Alcotest.(check bool) "nothing materialized" false
+        (Vfs.exists vfs "/dest/pkg")
   | Error e ->
-      Alcotest.failf "legacy extract: %s" (Buildcache.error_to_string e)
+      Alcotest.failf "expected Cache_corrupt, got %s"
+        (Buildcache.error_to_string e)
 
 (* --- the mirror fleet ------------------------------------------------ *)
 
@@ -463,8 +449,8 @@ let () =
         [
           Alcotest.test_case "stale orphans cleared" `Quick
             extract_clears_orphans;
-          Alcotest.test_case "legacy entries without file_count" `Quick
-            legacy_entries;
+          Alcotest.test_case "entry without file_count refused" `Quick
+            file_count_required;
         ] );
       ( "mirror fleet",
         [

@@ -259,6 +259,52 @@ let save_load_roundtrip () =
   Alcotest.(check int) "clean load is not an invalidation" 0
     (Obs.counter obs "ccache.invalidations")
 
+(* a kill at either barrier of a save leaves the previous cache: a
+   reload sees exactly the old entries, with nothing evicted and no torn
+   file *)
+let save_crash_sweep () =
+  let packages = base_packages () in
+  let cx = mk_context packages in
+  let ctx = ctx_of packages in
+  let path = "/store/.spack-db/ccache.json" in
+  let old = Ccache.create ~context:cx () in
+  List.iter
+    (fun spec -> ignore (concretize_ok ~cache:old ctx spec))
+    [ "app@1.0"; "app@2.0"; "mympi@2.1" ];
+  let old_json = Json.to_string (Ccache.to_json old) in
+  let world () =
+    let fs = Vfs.create () in
+    (match Ccache.save old fs ~path with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "seed save: %s" e);
+    fs
+  in
+  let extra = concretize_ok ctx "libx@0.5" in
+  let run fs =
+    let cache = Ccache.load ~context:cx fs ~path in
+    Ccache.store cache (parse "libx@0.5") extra;
+    Ccache.save cache fs ~path
+  in
+  let check () _k fs =
+    let obs = Obs.create () in
+    let reloaded = Ccache.load ~obs ~context:cx fs ~path in
+    match Vfs.read_file fs path with
+    | Error e -> Error ("cache file gone: " ^ Vfs.error_to_string e)
+    | Ok content when Result.is_error (Json.of_string content) ->
+        Error "torn cache file"
+    | Ok _ when Obs.counter obs "ccache.invalidations" <> 0 ->
+        Error "reload evicted entries"
+    | Ok _ when Json.to_string (Ccache.to_json reloaded) <> old_json ->
+        Error "reload is not exactly the old entries"
+    | Ok _ -> Ok (Ccache.length reloaded)
+  in
+  match Vfs.crash_sweep ~world ~run check with
+  | Error e -> Alcotest.fail e
+  | Ok (barriers, kills) ->
+      Alcotest.(check int) "a save crosses two barriers" 2 barriers;
+      Alcotest.(check (list int)) "three old entries at every kill" [ 3; 3 ]
+        kills
+
 let unrelated_edit_survival () =
   (* THE point of per-entry fingerprints: editing one recipe evicts only
      the entries whose closure can see it — unrelated entries stay live
@@ -411,6 +457,8 @@ let () =
       ( "persistence",
         [
           Alcotest.test_case "save/load round-trip" `Quick save_load_roundtrip;
+          Alcotest.test_case "save killed at every barrier" `Quick
+            save_crash_sweep;
           Alcotest.test_case "unrelated edit survival" `Quick
             unrelated_edit_survival;
           Alcotest.test_case "wholesale base mismatch" `Quick

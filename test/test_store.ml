@@ -487,7 +487,7 @@ let buildcache_truncated_rejected () =
   in
   (match
      Vfs.write_file vfs
-       ("/cache/" ^ hash ^ ".json")
+       (Ospack_store.Buildcache.entry_path cache hash)
        (Json.to_string entry)
    with
   | Ok () -> ()
@@ -626,12 +626,12 @@ let index_persistence () =
   (match Installer.install first (concretize "mpileaks ^mpich") with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "install: %s" e);
-  (* the index persists as hash-prefix shards + manifest, not the legacy
-     single file *)
+  (* the index persists as hash-prefix shards + manifest, not the
+     whole-file index.json of older stores *)
   Alcotest.(check bool) "manifest written" true
     (Vfs.is_file vfs (Installer.manifest_path first));
   Alcotest.(check bool) "no legacy index" false
-    (Vfs.is_file vfs (Installer.index_path first));
+    (Vfs.is_file vfs (Installer.install_root first ^ "/.spack-db/index.json"));
   let records = Database.all (Installer.database first) in
   Alcotest.(check int) "five records" 5 (List.length records);
   List.iter
@@ -660,52 +660,6 @@ let index_persistence () =
   Alcotest.(check (result int string)) "no index yet" (Ok 0)
     (Installer.load_index empty)
 
-let legacy_index_migration () =
-  let module Json = Ospack_json.Json in
-  (* build a store, rewrite its index in the legacy single-file layout,
-     and let load_index migrate it back to shards transparently *)
-  let vfs, first = fresh () in
-  ignore (install first "mpileaks ^mpich");
-  let legacy =
-    Json.to_string ~indent:2 (Database.to_json (Installer.database first))
-  in
-  (match Vfs.remove vfs ~recursive:true (Installer.index_dir first) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "reset shards: %s" (Vfs.error_to_string e));
-  (match Vfs.write_file vfs (Installer.index_path first) legacy with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "write legacy: %s" (Vfs.error_to_string e));
-  (* a fresh process opens the legacy store *)
-  let second = Installer.create ~vfs ~repo ~compilers () in
-  (match Installer.load_index second with
-  | Ok n -> Alcotest.(check int) "all records migrated" 5 n
-  | Error e -> Alcotest.failf "load_index: %s" e);
-  Alcotest.(check bool) "legacy file retired" false
-    (Vfs.is_file vfs (Installer.index_path second));
-  Alcotest.(check bool) "manifest written" true
-    (Vfs.is_file vfs (Installer.manifest_path second));
-  List.iter
-    (fun (r : Database.record) ->
-      let shard =
-        Installer.shard_path second (Installer.shard_of_hash r.Database.r_hash)
-      in
-      Alcotest.(check bool) (shard ^ " exists") true (Vfs.is_file vfs shard))
-    (Database.all (Installer.database second));
-  (* round-trip: the migrated shards reload identically, and installs
-     through them are pure reuse *)
-  let third = Installer.create ~vfs ~repo ~compilers () in
-  (match Installer.load_index third with
-  | Ok n -> Alcotest.(check int) "sharded reload" 5 n
-  | Error e -> Alcotest.failf "reload: %s" e);
-  Alcotest.(check bool) "migrated db identical" true
-    (Json.to_string (Database.to_json (Installer.database third))
-    = Json.to_string (Database.to_json (Installer.database first)));
-  match Installer.install third (concretize "mpileaks ^mpich") with
-  | Ok outcomes ->
-      Alcotest.(check bool) "everything reused after migration" true
-        (List.for_all (fun o -> o.Installer.o_reused) outcomes)
-  | Error e -> Alcotest.failf "reinstall: %s" e
-
 let () =
   Alcotest.run "store"
     [
@@ -728,8 +682,6 @@ let () =
             external_spec_mismatch;
           Alcotest.test_case "on-disk index persistence" `Quick
             index_persistence;
-          Alcotest.test_case "legacy index migration" `Quick
-            legacy_index_migration;
           Alcotest.test_case "binary cache with relocation" `Quick
             buildcache_roundtrip;
           Alcotest.test_case "buildcache save error propagation" `Quick

@@ -1,5 +1,6 @@
 (* The virtual filesystem: POSIX-ish semantics, symlink resolution, walk,
-   removal, operation counters. *)
+   removal, operation counters, fault injection, and the persistence
+   protocol (atomic write, tmp sweep, crash sweep). *)
 
 open Ospack_vfs
 
@@ -252,6 +253,82 @@ let fault_crash_mode () =
   Alcotest.(check (result unit err)) "alive again after clear" (Ok ())
     (Vfs.write_file fs "/w/c" "3")
 
+(* --- the persistence protocol --- *)
+
+let atomic_write_and_sweep () =
+  let fs = Vfs.create () in
+  Alcotest.(check (result unit err)) "atomic write" (Ok ())
+    (Vfs.write_atomic fs "/d/f" "v1");
+  Alcotest.(check int) "a tmp write and a rename" 2 (Vfs.write_barriers fs);
+  Alcotest.(check bool) "no tmp left behind" false (Vfs.exists fs "/d/f.tmp");
+  (* a kill at the rename keeps the old bytes and strands the tmp *)
+  Vfs.set_fault_plan fs ~mode:Vfs.Crash [ 2 ];
+  Alcotest.(check (result unit err)) "rename killed"
+    (Error (Vfs.Fault_injected { fi_op = "rename"; fi_path = "/d/f" }))
+    (Vfs.write_atomic fs "/d/f" "v2");
+  Vfs.clear_fault_plan fs;
+  Alcotest.(check (result string err)) "old bytes intact" (Ok "v1")
+    (Vfs.read_file fs "/d/f");
+  Alcotest.(check (result string err)) "tmp stranded" (Ok "v2")
+    (Vfs.read_file fs "/d/f.tmp");
+  ignore (Vfs.write_file fs "/d/g" "x");
+  let before = Vfs.write_barriers fs in
+  Alcotest.(check (result (list string) err)) "sweep keeps the rest"
+    (Ok [ "f"; "g" ])
+    (Vfs.sweep_tmp fs "/d");
+  Alcotest.(check bool) "tmp swept" false (Vfs.exists fs "/d/f.tmp");
+  Alcotest.(check int) "sweeping is not a barrier" before
+    (Vfs.write_barriers fs);
+  Alcotest.(check (result (list string) err)) "missing directory"
+    (Error (Vfs.Not_found "/nope"))
+    (Vfs.sweep_tmp fs "/nope")
+
+let crash_sweep_driver () =
+  (* a pre-populated world: its own write is not one of the run's
+     barriers *)
+  let world () =
+    let fs = Vfs.create () in
+    ignore (Vfs.write_file fs "/seed" "s");
+    fs
+  in
+  let run fs =
+    Result.map_error Vfs.error_to_string
+      (Result.bind (Vfs.write_atomic fs "/a" "1") (fun () ->
+           Result.map (fun () -> "done") (Vfs.write_atomic fs "/b" "2")))
+  in
+  let kills = ref [] in
+  (match
+     Vfs.crash_sweep ~every:2 ~world ~run (fun reference k fs ->
+         kills := k :: !kills;
+         if reference <> "done" then Error "wrong reference"
+         else if Vfs.write_barriers fs <> k then Error "not dead at k"
+         else Ok (Vfs.is_file fs "/a"))
+   with
+  | Ok (barriers, results) ->
+      Alcotest.(check int) "only the run's barriers count" 4 barriers;
+      Alcotest.(check (list int)) "kill points 1 and 3" [ 3; 1 ] !kills;
+      Alcotest.(check (list bool)) "per-kill results in order" [ false; true ]
+        results
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (result (pair int (list unit)) string))
+    "errors name the kill point" (Error "kill point 2: boom")
+    (Vfs.crash_sweep ~world ~run (fun _ k _ ->
+         if k = 2 then Error "boom" else Ok ()));
+  Alcotest.(check (result (pair int (list unit)) string))
+    "a run that survives its crash is an error"
+    (Error "kill point 1: the run survived an armed crash plan")
+    (Vfs.crash_sweep ~world
+       ~run:(fun fs ->
+         ignore (Vfs.write_file fs "/x" "");
+         Ok ())
+       (fun () _ _ -> Ok ()));
+  Alcotest.(check (result (pair int (list unit)) string))
+    "reference failure" (Error "reference run failed: no")
+    (Vfs.crash_sweep ~world ~run:(fun _ -> Error "no") (fun () _ _ -> Ok ()));
+  Alcotest.(check (result (pair int (list unit)) string))
+    "every validated" (Error "every must be >= 1")
+    (Vfs.crash_sweep ~every:0 ~world ~run (fun _ _ _ -> Ok ()))
+
 let write_read_consistent =
   QCheck.Test.make ~name:"last write wins for every path" ~count:100 arb_files
     (fun files ->
@@ -289,6 +366,9 @@ let () =
             fault_barrier_counting;
           Alcotest.test_case "fault: transient failures" `Quick fault_fail_op;
           Alcotest.test_case "fault: crash mode" `Quick fault_crash_mode;
+          Alcotest.test_case "atomic write and tmp sweep" `Quick
+            atomic_write_and_sweep;
+          Alcotest.test_case "crash sweep driver" `Quick crash_sweep_driver;
           QCheck_alcotest.to_alcotest write_read_consistent;
         ] );
     ]
