@@ -228,6 +228,65 @@ let lock_roundtrip () =
       Alcotest.(check bool) "concrete round-trips" true (Concrete.equal c1 c2))
     pairs lock.Environment.lk_specs
 
+let lock_migration_v1 () =
+  let ctx = Context.create () in
+  let env = ok (Environment.create ctx ~name:"old" ()) in
+  let env = ok (Environment.add ctx env "libdwarf") in
+  let c = ok (Ospack.spec ctx "libdwarf") in
+  let path = Environment.lock_path "old" in
+  (* a legacy format-1 lockfile: bare spec list, no checksum or
+     fingerprint *)
+  let v1 =
+    Json.to_string ~indent:2
+      (Json.Obj
+         [
+           ("format", Json.Int 1);
+           ("specs", Json.List [ Concrete.to_json c ]);
+         ])
+    ^ "\n"
+  in
+  ok
+    (Result.map_error Vfs.error_to_string
+       (Vfs.write_file ctx.Context.vfs path v1));
+  (* it is refused typed, never adopted or rewritten in place *)
+  (match Environment.read_lock ctx env with
+  | Error (Environment.Lock_corrupt why) ->
+      Alcotest.(check string) "format 1 refused"
+        "unsupported lockfile format 1" why
+  | Error e ->
+      Alcotest.failf "format 1: expected Lock_corrupt, got %s"
+        (Environment.lock_error_to_string e)
+  | Ok _ -> Alcotest.fail "format-1 lock adopted");
+  Alcotest.(check string) "format-1 file left as written" v1
+    (Result.get_ok (Vfs.read_file ctx.Context.vfs path));
+  (match Environment.install_locked ctx env with
+  | Error (Environment.Locked_lock (Environment.Lock_corrupt _)) -> ()
+  | Error e ->
+      Alcotest.failf "format-1 replay: expected corrupt, got %s"
+        (Environment.locked_error_to_string e)
+  | Ok _ -> Alcotest.fail "format-1 lock replayed");
+  Alcotest.(check int) "no install from a format-1 lock" 0
+    (Database.count (Installer.database ctx.Context.installer));
+  (* the migration path is a re-solve: env install writes format 2,
+     fingerprinted and checksummed, with the same concrete spec *)
+  let _ = ok (Environment.install ctx env) in
+  let lock = ok_lock (Environment.read_lock ctx env) in
+  Alcotest.(check bool) "re-solved spec intact" true
+    (Concrete.equal c (snd (List.hd lock.Environment.lk_specs)));
+  let j =
+    Result.get_ok (Json.of_string (Result.get_ok (Vfs.read_file ctx.Context.vfs path)))
+  in
+  Alcotest.(check (option int)) "rewritten as format 2"
+    (Some Environment.lock_format)
+    (Option.bind (Json.member "format" j) Json.get_int);
+  Alcotest.(check bool) "rewritten file carries a checksum" true
+    (Json.member "checksum" j <> None);
+  match Environment.install_locked ctx env with
+  | Ok _ -> ()
+  | Error e ->
+      Alcotest.failf "re-solved lock replay: %s"
+        (Environment.locked_error_to_string e)
+
 (* rebuild a tampered lock's checksum so only the targeted inconsistency
    shows — tampering without re-signing is caught by the checksum *)
 let resign fields =
@@ -345,25 +404,6 @@ let lock_tampering_rejected () =
       Alcotest.failf "missing dep: expected corrupt, got %s"
         (Environment.locked_error_to_string e)
   | Ok _ -> Alcotest.fail "missing dep node accepted");
-  (* 4. a format-1 lockfile (a bare spec list, no checksum or
-     fingerprint) is refused, never adopted *)
-  let c = ok (Ospack.spec ctx "libdwarf") in
-  ignore
-    (Vfs.write_file ctx.Context.vfs path
-       (Json.to_string
-          (Json.Obj
-             [
-               ("format", Json.Int 1);
-               ("specs", Json.List [ Concrete.to_json c ]);
-             ])));
-  (match Environment.read_lock ctx env with
-  | Error (Environment.Lock_corrupt why) ->
-      Alcotest.(check string) "format 1 refused"
-        "unsupported lockfile format 1" why
-  | Error e ->
-      Alcotest.failf "format 1: expected Lock_corrupt, got %s"
-        (Environment.lock_error_to_string e)
-  | Ok _ -> Alcotest.fail "format-1 lock adopted");
   (* pristine file still replays *)
   ignore (Vfs.write_file ctx.Context.vfs path pristine);
   ignore (ok_lock (Environment.read_lock ctx env))
@@ -563,6 +603,7 @@ let () =
       ( "lockfile",
         [
           Alcotest.test_case "format-2 round-trip" `Quick lock_roundtrip;
+          Alcotest.test_case "format-1 migration" `Quick lock_migration_v1;
           Alcotest.test_case "tampering rejected typed" `Quick
             lock_tampering_rejected;
           Alcotest.test_case "stale fingerprint forces re-solve" `Quick
