@@ -1007,7 +1007,7 @@ let solve_doc () =
     (List.length uc.I.oc_core);
   doc
 
-(* `main.exe store` — the sharded-store benchmark. Three scenarios:
+(* `main.exe store` — the sharded-store benchmark. Four scenarios:
    - installs: the seven Fig. 10/11 packages installed sequentially,
      accounting the index bytes the sharded layout actually wrote per
      install against what the legacy whole-file rewrite (index.json
@@ -1021,7 +1021,11 @@ let solve_doc () =
      the cache is reloaded under the edited universe. Fails unless the
      edit evicts the entries whose closure contains libdwarf AND leaves
      unrelated entries live — the point of per-entry Merkle
-     fingerprints. *)
+     fingerprints.
+   - ccache save traffic: 32 consecutive saves, one new entry each.
+     Fails unless the last save wrote at most 3x the bytes of the first
+     (a whole-cache rewrite writes ~27x): a deterministic shape gate on
+     bytes, not time. *)
 let store_doc () =
   let module Obs = Ospack_obs.Obs in
   let module Json = Ospack_json.Json in
@@ -1140,9 +1144,51 @@ let store_doc () =
     workloads;
   let stored = Ccache.length cache in
   let cvfs = Vfs.create () in
-  (match Ccache.save cache cvfs ~path:"/bench/ccache.json" with
+  let ccache_dir = "/bench/ccache" in
+  (match Ccache.save cache cvfs ~path:ccache_dir with
   | Ok () -> ()
   | Error e -> failwith ("ccache save: " ^ e));
+  (* --- ccache save traffic: one new entry per save, as Commands.spec
+     persists after every miss. The entries are one concretization under
+     distinct equal-length keys, so every save stores the same bytes and
+     last/first measures how save cost grows with the cache. --- *)
+  let saves = 32 in
+  let svfs = Vfs.create () in
+  let scache = Ccache.create ~context:cx0 () in
+  let libelf = concrete "libelf" in
+  (* every file under the cache root, with its bytes *)
+  let persisted () =
+    List.filter_map
+      (fun (p, kind) ->
+        match (kind, Vfs.read_file svfs p) with
+        | Vfs.File, Ok bytes -> Some (p, bytes)
+        | _ -> None)
+      (Vfs.walk svfs "/bench")
+  in
+  (* the bytes a save wrote: the files it created or changed *)
+  let save_bytes =
+    List.init saves (fun i ->
+        let key = Printf.sprintf "libelf@0.%d:" (10 + i) in
+        Ccache.store scache (parse key) libelf;
+        let before = persisted () in
+        (match Ccache.save scache svfs ~path:ccache_dir with
+        | Ok () -> ()
+        | Error e -> failwith ("ccache save: " ^ e));
+        List.fold_left
+          (fun acc (p, bytes) ->
+            if List.assoc_opt p before = Some bytes then acc
+            else acc + String.length bytes)
+          0 (persisted ()))
+  in
+  let first_save = List.hd save_bytes
+  and last_save = List.nth save_bytes (saves - 1) in
+  let save_growth_pct = 100 * last_save / first_save in
+  if save_growth_pct > 300 then
+    failwith
+      (Printf.sprintf
+         "ccache save %d of %d wrote %d bytes vs %d for the first (%d%%) — a \
+          save must cost what changed, not the size of the cache"
+         saves saves last_save first_save save_growth_pct);
   (* edit one leaf recipe that provides no virtual: add a version *)
   let edited = "libdwarf" in
   let edited_repo =
@@ -1156,7 +1202,7 @@ let store_doc () =
   in
   let cobs = Obs.create () in
   let cx1 = Ccache.context ~repo:edited_repo ~compilers ~config () in
-  let reloaded = Ccache.load ~obs:cobs ~context:cx1 cvfs ~path:"/bench/ccache.json" in
+  let reloaded = Ccache.load ~obs:cobs ~context:cx1 cvfs ~path:ccache_dir in
   let survivors = Ccache.length reloaded in
   let evicted = Obs.counter cobs "ccache.invalidations" in
   if survivors <= 0 then
@@ -1202,6 +1248,10 @@ let store_doc () =
               ("edited_recipe", Json.String edited);
               ("survivors", Json.Int survivors);
               ("evicted", Json.Int evicted);
+              ("saves", Json.Int saves);
+              ("first_save_bytes", Json.Int first_save);
+              ("last_save_bytes", Json.Int last_save);
+              ("save_bytes_growth_pct", Json.Int save_growth_pct);
             ] );
       ]
   in
@@ -1209,11 +1259,13 @@ let store_doc () =
     "installed %d packages (%d records)\n\
      index traffic: %d bytes sharded vs %d legacy (%d%%)\n\
      warm queries: %d served, %d hits\n\
-     ccache: %d entries; editing %s evicted %d, %d survived\n"
+     ccache: %d entries; editing %s evicted %d, %d survived\n\
+     ccache saves: last of %d wrote %d bytes vs %d for the first (%d%%)\n"
     (List.length fig10_packages) (Database.count db) sharded_total
     legacy_total
     (100 * sharded_total / legacy_total)
-    query_count !hits stored edited evicted survivors;
+    query_count !hits stored edited evicted survivors
+    saves last_save first_save save_growth_pct;
   doc
 
 (* --- the buildcache mode: mirror fleet + splice ------------------------
@@ -1427,12 +1479,13 @@ let env_doc () =
         | Error e -> failwith (spec ^ ": " ^ e))
       env specs
   in
-  (* every file and symlink under a root; the ccache is excluded because
-     only the solving context writes one *)
+  (* every file and symlink under a root; the ccache shard directory is
+     excluded because only the solving context writes one *)
   let snapshot ctx root =
     Vfs.walk ctx.Context.vfs root
     |> List.filter_map (fun (path, kind) ->
-           if path = "/ospack/opt/.spack-db/ccache.json" then None
+           let ccache = "/ospack/opt/.spack-db/ccache/" in
+           if String.starts_with ~prefix:ccache (path ^ "/") then None
            else
              match kind with
              | Vfs.File ->

@@ -30,9 +30,18 @@
     fingerprint, or the entry fingerprint — a stale entry is never
     trusted.
 
-    Persistence is crash-safe: {!save} goes through
-    {!Ospack_vfs.Vfs.write_atomic}, so readers observe either the old or
-    the new cache, never a torn one. *)
+    Persistence is sharded and incremental. The cache lives in a
+    directory of shard files, [<dir>/<2-hex>.json], one per first byte
+    of the SHA-256 of an entry's key; each is an ordinary cache
+    document, so {!of_string}'s validation is the only one. Each entry's Merkle
+    fingerprint is computed once, at {!store} (or when a load validates
+    it), and its JSON text is rendered at most once; {!save} splices
+    those texts into the shards changed since the last save and writes
+    only those, so its cost follows what changed, not the cache's size.
+    There is no manifest: entries are never deleted one at a time, so
+    the directory listing is the truth. Every shard goes through
+    {!Ospack_vfs.Vfs.write_atomic}, so a reader sees each shard old or
+    new, never torn. *)
 
 type t
 
@@ -90,20 +99,23 @@ val length : t -> int
 
 val to_json : t -> Ospack_json.Json.t
 (** Serialized form: format version, base fingerprint, and one
-    [{spec; merkle; concrete}] object per entry. *)
+    [{spec; merkle; concrete}] object per entry, sorted by spec. *)
 
-val of_json :
-  ?obs:Ospack_obs.Obs.t ->
-  context:context ->
-  Ospack_json.Json.t ->
-  t
-(** Rebuild a cache from its serialized form, {e validating} it against
-    the current context. A format or base mismatch discards every stored
-    entry; otherwise each entry is revalidated individually and kept iff
-    its recorded Merkle fingerprint still matches its DAG under
-    [context]. Every evicted entry counts one [ccache.invalidations];
-    malformed entries are dropped (and counted) without poisoning their
-    neighbours. Never an error, never a stale entry. *)
+val to_string : t -> string
+(** [Json.to_string ~indent:2 (to_json t)], byte for byte, spliced from
+    the memoized entry texts: the export {!of_string} reads back. *)
+
+val of_string :
+  ?obs:Ospack_obs.Obs.t -> context:context -> string -> t
+(** Rebuild a cache from a serialized document (an export or a shard
+    file), {e validating} it against the current context. Unparsable
+    text, or a format or base mismatch, discards every stored entry;
+    otherwise each entry is revalidated individually and kept iff its
+    recorded Merkle fingerprint still matches its DAG under [context].
+    Every evicted entry counts one [ccache.invalidations] (unparsable
+    text counts one); malformed entries are dropped (and counted)
+    without poisoning their neighbours. Never an error, never a stale
+    entry. Every entry is unsaved: the next {!save} persists them all. *)
 
 val load :
   ?obs:Ospack_obs.Obs.t ->
@@ -111,8 +123,16 @@ val load :
   Ospack_vfs.Vfs.t ->
   path:string ->
   t
-(** Read the persisted cache at [path]; a missing file is a plain empty
-    cache, an unparsable one counts one invalidation. *)
+(** Merge every [*.json] shard in the directory [path], each validated
+    as {!of_string} validates, after removing the [.tmp] files a killed
+    {!save} left ({!Ospack_vfs.Vfs.sweep_tmp}); a missing directory is a
+    plain empty cache. An entry filed under the wrong shard counts as
+    evicted. A shard that lost any entry is rewritten (or removed, once
+    empty) by the next {!save}, so each loss is counted by one load
+    only. *)
 
 val save : t -> Ospack_vfs.Vfs.t -> path:string -> (unit, string) result
-(** Persist atomically with {!Ospack_vfs.Vfs.write_atomic}. *)
+(** Persist the shards changed since the last {!save} (or {!load}) into
+    the directory [path], in sorted shard order, each with
+    {!Ospack_vfs.Vfs.write_atomic}: two write barriers per changed
+    shard, none when nothing changed. *)

@@ -4,7 +4,6 @@ module Concrete = Ospack_spec.Concrete
 module Cerror = Ospack_concretize.Cerror
 module Concretizer = Ospack_concretize.Concretizer
 module Backends = Ospack_concretize.Backends
-module Ccache = Ospack_concretize.Ccache
 module Package = Ospack_package.Package
 module Repository = Ospack_package.Repository
 module Provider_index = Ospack_package.Provider_index
@@ -76,13 +75,10 @@ let concretize_cached (ctx : Context.t) ?(reuse = false) ast =
           Option.map (fun r -> r.Database.r_spec) (best_installed ctx q))
     else None
   in
-  let before = Ccache.length ctx.ccache in
   let result =
     Backends.solve_cached ~cache:ctx.ccache ?installed ctx.backend ctx.cctx ast
   in
-  (match result with
-  | Ok _ when Ccache.length ctx.ccache <> before -> Context.save_ccache ctx
-  | _ -> ());
+  Context.save_ccache ctx;
   result
 
 (* On failure, re-solve uncached through the backend's full interface

@@ -5,7 +5,6 @@ module Compilers = Ospack_config.Compilers
 module Concretizer = Ospack_concretize.Concretizer
 module Ccache = Ospack_concretize.Ccache
 module Backends = Ospack_concretize.Backends
-module Json = Ospack_json.Json
 module Installer = Ospack_store.Installer
 module Fsmodel = Ospack_buildsim.Fsmodel
 module Layout = Ospack_layout.Layout
@@ -28,7 +27,7 @@ type t = {
   module_root : string;
 }
 
-let ccache_file root = root ^ "/.spack-db/ccache.json"
+let ccache_dir root = root ^ "/.spack-db/ccache"
 
 let create ?config ?repo ?compilers ?fs ?scheme
     ?(install_root = "/ospack/opt") ?cache_root ?ccache_json ?vfs
@@ -47,18 +46,22 @@ let create ?config ?repo ?compilers ?fs ?scheme
     Installer.create ?fs ?scheme ~install_root ~config ?cache ~obs ~vfs ~repo
       ~compilers ()
   in
-  let ccache_path = ccache_file install_root in
-  (* an imported serialized cache (from a previous process) lands in the
-     vfs first, so loading it shares the persisted-file validation path:
-     fingerprint mismatches and corruption are discarded, never trusted *)
-  (match ccache_json with
-  | None -> ()
-  | Some json -> ignore (Vfs.write_file vfs ccache_path json));
+  let ccache_path = ccache_dir install_root in
   let cx =
     Ccache.context ~backend:(Backends.to_string backend) ~repo ~compilers
       ~config ()
   in
-  let ccache = Ccache.load ~obs ~context:cx vfs ~path:ccache_path in
+  let ccache =
+    match ccache_json with
+    | None -> Ccache.load ~obs ~context:cx vfs ~path:ccache_path
+    | Some json ->
+        (* an imported cache (from a previous process) passes the same
+           validator as a shard file, and is persisted as shards so a
+           reload of this store sees it *)
+        let ccache = Ccache.of_string ~obs ~context:cx json in
+        ignore (Ccache.save ccache vfs ~path:ccache_path);
+        ccache
+  in
   { vfs; config; repo; compilers; cctx; backend; installer; cache; ccache;
     ccache_path; obs; module_root = "/ospack/modules" }
 
@@ -67,7 +70,7 @@ let save_ccache t =
      concretized (the in-memory cache is still authoritative) *)
   ignore (Ccache.save t.ccache t.vfs ~path:t.ccache_path)
 
-let export_ccache t = Json.to_string ~indent:2 (Ccache.to_json t.ccache)
+let export_ccache t = Ccache.to_string t.ccache
 
 let with_site_packages t site_pkgs =
   let site = Repository.create ~name:"site" site_pkgs in

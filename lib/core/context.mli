@@ -19,9 +19,9 @@ type t = {
           one costs nothing), fingerprinted over this context's repository,
           compiler registry, and configuration *)
   ccache_path : string;
-      (** where the concretization cache persists in the vfs
-          ([<install_root>/.spack-db/ccache.json], next to the database
-          index) *)
+      (** the directory the concretization cache's shards persist in
+          ([<install_root>/.spack-db/ccache/<2-hex>.json], next to the
+          database index) *)
   obs : Ospack_obs.Obs.t;
       (** the observability sink every layer records into; disabled (and
           therefore free) unless [create] was given an enabled one *)
@@ -54,9 +54,10 @@ val create :
     on-disk index. *)
 
 val save_ccache : t -> unit
-(** Persist the concretization cache to [ccache_path] (crash-safe
-    write-then-rename). Best-effort: a failed persist never fails the
-    command that concretized. *)
+(** Persist the concretization-cache shards changed since the last save
+    to [ccache_path] (crash-safe write-then-rename per shard; nothing is
+    written when nothing changed). Best-effort: a failed persist never
+    fails the command that concretized. *)
 
 val export_ccache : t -> string
 (** The concretization cache serialized as JSON — the bridge for warm

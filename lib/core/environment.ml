@@ -356,18 +356,16 @@ let parse_roots t =
    context, memoized in the ordinary concretization cache. *)
 let concretize_roots (ctx : Context.t) t =
   let* asts = parse_roots t in
-  let before = Ccache.length ctx.Context.ccache in
   let result =
     Obs.span ctx.Context.obs ~cat:"concretize" "concretize" (fun () ->
         Multiroot.solve ~cache:ctx.Context.ccache ~obs:ctx.Context.obs
           ~backend:ctx.Context.backend ~config:ctx.Context.config
           ~compilers:ctx.Context.compilers ~repo:ctx.Context.repo asts)
   in
+  Context.save_ccache ctx;
   match result with
   | Error e -> Error (Multiroot.error_to_string e)
   | Ok concretes ->
-      if Ccache.length ctx.Context.ccache <> before then
-        Context.save_ccache ctx;
       Ok (List.combine (List.map Printer.to_string asts) concretes)
 
 let sync_view_specs (ctx : Context.t) t concretes =

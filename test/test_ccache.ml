@@ -236,6 +236,22 @@ let reuse_layer () =
 
 (* --- persistence and invalidation --- *)
 
+let dir = "/store/.spack-db/ccache"
+
+let save_ok cache fs =
+  match Ccache.save cache fs ~path:dir with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "save failed: %s" e
+
+let shard_names fs =
+  match Vfs.ls fs dir with Ok names -> names | Error _ -> []
+
+(* every shard file with its bytes *)
+let shard_files fs =
+  List.map
+    (fun n -> (n, Result.get_ok (Vfs.read_file fs (dir ^ "/" ^ n))))
+    (shard_names fs)
+
 let save_load_roundtrip () =
   let packages = base_packages () in
   let cx = mk_context packages in
@@ -243,65 +259,147 @@ let save_load_roundtrip () =
   let ctx = ctx_of packages in
   let c = concretize_ok ~cache ctx "app@1.0" in
   let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
-  (match Ccache.save cache fs ~path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
-  Alcotest.(check bool) "no temp file left behind" false
-    (Vfs.exists fs (path ^ ".tmp"));
+  save_ok cache fs;
+  Alcotest.(check (list string)) "one shard, no temp file left behind"
+    [ "7d.json" ] (shard_names fs);
   let obs = Obs.create () in
-  let reloaded = Ccache.load ~obs ~context:cx fs ~path in
+  let reloaded = Ccache.load ~obs ~context:cx fs ~path:dir in
   Alcotest.(check int) "entries survive" 1 (Ccache.length reloaded);
   (match Ccache.lookup reloaded (parse "app@1.0") with
   | Some c' ->
       Alcotest.(check bool) "reloaded entry identical" true (Concrete.equal c c')
   | None -> Alcotest.fail "reloaded cache should hit");
   Alcotest.(check int) "clean load is not an invalidation" 0
-    (Obs.counter obs "ccache.invalidations")
+    (Obs.counter obs "ccache.invalidations");
+  Vfs.reset_counters fs;
+  save_ok reloaded fs;
+  Alcotest.(check int) "a clean load leaves nothing to save" 0
+    (Vfs.counters fs).Vfs.write
+
+(* a cache of 120 entries over many shards: libx's concretization under
+   120 distinct version-range keys *)
+let big_cache cx =
+  let cache = Ccache.create ~context:cx () in
+  let c = concretize_ok (ctx_of (base_packages ())) "libx@0.5" in
+  for i = 1 to 120 do
+    Ccache.store cache (parse (Printf.sprintf "libx@0.%d:" i)) c
+  done;
+  (cache, c)
+
+(* a save costs what changed: one new entry rewrites exactly its own
+   shard, with one write and one rename, and a second save writes
+   nothing *)
+let save_traffic_shape () =
+  let cx = mk_context (base_packages ()) in
+  let cache, c = big_cache cx in
+  let fs = Vfs.create () in
+  save_ok cache fs;
+  let before = shard_files fs in
+  Alcotest.(check bool) "the entries spread over many shards" true
+    (List.length before > 50);
+  Ccache.store cache (parse "libx@0.5") c;
+  Vfs.reset_counters fs;
+  Vfs.set_fault_plan fs [];
+  save_ok cache fs;
+  Alcotest.(check int) "one shard written: its .tmp, then the rename" 2
+    (Vfs.counters fs).Vfs.write;
+  Alcotest.(check int) "two barriers" 2 (Vfs.write_barriers fs);
+  let after = shard_files fs in
+  let changed =
+    List.filter (fun (n, b) -> List.assoc_opt n before <> Some b) after
+  in
+  Alcotest.(check int) "exactly one shard file changed bytes" 1
+    (List.length changed);
+  Alcotest.(check int) "no shard file vanished" (List.length before)
+    (List.length (List.filter (fun (n, _) -> List.mem_assoc n after) before));
+  Vfs.set_fault_plan fs [];
+  save_ok cache fs;
+  Alcotest.(check int) "nothing dirty, nothing written" 0
+    (Vfs.write_barriers fs);
+  Vfs.clear_fault_plan fs
+
+(* the splice renderer is the reference serializer, byte for byte, and
+   the shard files partition exactly the exported entries *)
+let splice_renderer_identity () =
+  let cx = mk_context (base_packages ()) in
+  let reference t = Json.to_string ~indent:2 (Ccache.to_json t) in
+  let empty = Ccache.create ~context:cx () in
+  Alcotest.(check string) "empty cache" (reference empty)
+    (Ccache.to_string empty);
+  let cache, _ = big_cache cx in
+  ignore (concretize_ok ~cache (ctx_of (base_packages ())) "app@1.0+debug");
+  Alcotest.(check string) "many entries" (reference cache)
+    (Ccache.to_string cache);
+  let fs = Vfs.create () in
+  save_ok cache fs;
+  let reloaded = Ccache.load ~context:cx fs ~path:dir in
+  Alcotest.(check string) "reloaded cache" (reference cache)
+    (Ccache.to_string reloaded);
+  (* a document's entries as (spec, rendered entry) *)
+  let entries text =
+    let doc = Result.get_ok (Json.of_string text) in
+    Option.value ~default:[]
+      (Option.bind (Json.member "entries" doc) Json.to_list)
+    |> List.map (fun e ->
+           let spec = Option.bind (Json.member "spec" e) Json.get_string in
+           (spec, Json.to_string e))
+  in
+  Alcotest.(check (list (pair (option string) string)))
+    "union of the shards = the export"
+    (entries (Ccache.to_string cache))
+    (List.concat_map (fun (_, b) -> entries b) (shard_files fs)
+    |> List.sort compare)
 
 (* a kill at either barrier of a save leaves the previous cache: a
-   reload sees exactly the old entries, with nothing evicted and no torn
-   file *)
+   reload sees exactly the old entries (spread over several shards),
+   with nothing evicted and no torn shard *)
 let save_crash_sweep () =
   let packages = base_packages () in
   let cx = mk_context packages in
   let ctx = ctx_of packages in
-  let path = "/store/.spack-db/ccache.json" in
   let old = Ccache.create ~context:cx () in
   List.iter
     (fun spec -> ignore (concretize_ok ~cache:old ctx spec))
     [ "app@1.0"; "app@2.0"; "mympi@2.1" ];
   let old_json = Json.to_string (Ccache.to_json old) in
+  (* a save leaves its cache clean, so every world persists a fresh copy *)
   let world () =
     let fs = Vfs.create () in
-    (match Ccache.save old fs ~path with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "seed save: %s" e);
+    save_ok (Ccache.of_string ~context:cx (Ccache.to_string old)) fs;
     fs
   in
+  Alcotest.(check int) "the old entries span three shards" 3
+    (List.length (shard_names (world ())));
   let extra = concretize_ok ctx "libx@0.5" in
   let run fs =
-    let cache = Ccache.load ~context:cx fs ~path in
+    let cache = Ccache.load ~context:cx fs ~path:dir in
     Ccache.store cache (parse "libx@0.5") extra;
-    Ccache.save cache fs ~path
+    Ccache.save cache fs ~path:dir
   in
   let check () _k fs =
     let obs = Obs.create () in
-    let reloaded = Ccache.load ~obs ~context:cx fs ~path in
-    match Vfs.read_file fs path with
-    | Error e -> Error ("cache file gone: " ^ Vfs.error_to_string e)
-    | Ok content when Result.is_error (Json.of_string content) ->
-        Error "torn cache file"
-    | Ok _ when Obs.counter obs "ccache.invalidations" <> 0 ->
+    let reloaded = Ccache.load ~obs ~context:cx fs ~path:dir in
+    match
+      List.find_opt
+        (fun (_, b) -> Result.is_error (Json.of_string b))
+        (shard_files fs)
+    with
+    | Some (n, _) -> Error ("torn shard " ^ n)
+    | None
+      when List.exists
+             (fun n -> Filename.check_suffix n ".tmp")
+             (shard_names fs) ->
+        Error "the reload left a stranded .tmp"
+    | None when Obs.counter obs "ccache.invalidations" <> 0 ->
         Error "reload evicted entries"
-    | Ok _ when Json.to_string (Ccache.to_json reloaded) <> old_json ->
+    | None when Json.to_string (Ccache.to_json reloaded) <> old_json ->
         Error "reload is not exactly the old entries"
-    | Ok _ -> Ok (Ccache.length reloaded)
+    | None -> Ok (Ccache.length reloaded)
   in
   match Vfs.crash_sweep ~world ~run check with
   | Error e -> Alcotest.fail e
   | Ok (barriers, kills) ->
-      Alcotest.(check int) "a save crosses two barriers" 2 barriers;
+      Alcotest.(check int) "one dirty shard crosses two barriers" 2 barriers;
       Alcotest.(check (list int)) "three old entries at every kill" [ 3; 3 ]
         kills
 
@@ -315,14 +413,11 @@ let unrelated_edit_survival () =
   ignore (concretize_ok ~cache ctx "app@1.0");
   ignore (concretize_ok ~cache ctx "mympi@2.1");
   let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
-  (match Ccache.save cache fs ~path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
+  save_ok cache fs;
   (* libx is in app's closure but not mympi's *)
   let obs = Obs.create () in
   let cx' = mk_context (bump_libx packages) in
-  let reloaded = Ccache.load ~obs ~context:cx' fs ~path in
+  let reloaded = Ccache.load ~obs ~context:cx' fs ~path:dir in
   Alcotest.(check int) "exactly the app entry evicted" 1
     (Obs.counter obs "ccache.invalidations");
   Alcotest.(check int) "the unrelated entry survives" 1
@@ -332,6 +427,49 @@ let unrelated_edit_survival () =
   Alcotest.(check bool) "evicted entry is not served" true
     (Ccache.lookup reloaded (parse "app@1.0") = None)
 
+(* an eviction is counted by one load only: the next save drops the
+   evicted entry from its shard, removing the shard once it is empty *)
+let eviction_counted_once () =
+  let packages = base_packages () in
+  let cache = Ccache.create ~context:(mk_context packages) () in
+  let ctx = ctx_of packages in
+  ignore (concretize_ok ~cache ctx "app@1.0");
+  ignore (concretize_ok ~cache ctx "mympi@2.1");
+  let fs = Vfs.create () in
+  save_ok cache fs;
+  Alcotest.(check (list string)) "two shards" [ "7d.json"; "b1.json" ]
+    (shard_names fs);
+  let cx' = mk_context (bump_libx packages) in
+  let load () =
+    let obs = Obs.create () in
+    let c = Ccache.load ~obs ~context:cx' fs ~path:dir in
+    (c, Obs.counter obs "ccache.invalidations")
+  in
+  let evicting, lost = load () in
+  Alcotest.(check int) "the libx bump evicts app" 1 lost;
+  save_ok evicting fs;
+  let reloaded, lost = load () in
+  Alcotest.(check int) "the next load evicts nothing" 0 lost;
+  Alcotest.(check int) "the survivor stays" 1 (Ccache.length reloaded);
+  Alcotest.(check (list string)) "the emptied shard is gone" [ "b1.json" ]
+    (shard_names fs);
+  (* garbage and misfiled entries are losses of their file too *)
+  let write name text =
+    Result.get_ok (Vfs.write_file fs (dir ^ "/" ^ name) text)
+  in
+  write "00.json" "{ not json";
+  write "01.json" (Ccache.to_string reloaded);
+  let _, lost = load () in
+  Alcotest.(check int) "a torn and a misfiled shard" 2 lost;
+  let _, lost = load () in
+  Alcotest.(check int) "counted again until saved" 2 lost;
+  let c, _ = load () in
+  save_ok c fs;
+  let _, lost = load () in
+  Alcotest.(check int) "saved, then clean" 0 lost;
+  Alcotest.(check (list string)) "both bad files removed" [ "b1.json" ]
+    (shard_names fs)
+
 let wholesale_base_mismatch () =
   let packages = base_packages () in
   let cache = Ccache.create ~context:(mk_context packages) () in
@@ -339,16 +477,14 @@ let wholesale_base_mismatch () =
   ignore (concretize_ok ~cache ctx "app@1.0");
   ignore (concretize_ok ~cache ctx "libx");
   let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
-  (match Ccache.save cache fs ~path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
+  save_ok cache fs;
   (* a config change shifts the base fingerprint: every entry is lost,
      and the counter says so per entry *)
   let prefer = Config.of_assoc [ ("prefer_compiler", "intel") ] in
   let obs = Obs.create () in
   let reloaded =
-    Ccache.load ~obs ~context:(mk_context ~config:prefer packages) fs ~path
+    Ccache.load ~obs ~context:(mk_context ~config:prefer packages) fs
+      ~path:dir
   in
   Alcotest.(check int) "everything discarded" 0 (Ccache.length reloaded);
   Alcotest.(check int) "one invalidation per lost entry" 2
@@ -356,16 +492,13 @@ let wholesale_base_mismatch () =
   Alcotest.(check bool) "no stale entry served" true
     (Ccache.lookup reloaded (parse "app@1.0") = None)
 
+(* the one validator of outside bytes, shared by shard files and
+   imported exports *)
 let corrupt_cache_ignored () =
   let cx = mk_context (base_packages ()) in
-  let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
   let load_counting content =
-    (match Vfs.write_file fs path content with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "write: %s" (Vfs.error_to_string e));
     let obs = Obs.create () in
-    let c = Ccache.load ~obs ~context:cx fs ~path in
+    let c = Ccache.of_string ~obs ~context:cx content in
     (Ccache.length c, Obs.counter obs "ccache.invalidations")
   in
   let b = Ccache.base_fingerprint cx in
@@ -403,11 +536,38 @@ let corrupt_cache_ignored () =
           | j -> j
         in
         Json.to_string (tamper (Ccache.to_json cache))));
-  (* a missing file is an empty cache, not corruption *)
+  (* a missing directory is an empty cache, not corruption *)
   let obs = Obs.create () in
-  let c = Ccache.load ~obs ~context:cx fs ~path:"/store/absent.json" in
-  Alcotest.(check int) "missing file is empty" 0 (Ccache.length c);
-  Alcotest.(check int) "missing file is not an invalidation" 0
+  let c = Ccache.load ~obs ~context:cx (Vfs.create ()) ~path:dir in
+  Alcotest.(check int) "missing directory is empty" 0 (Ccache.length c);
+  Alcotest.(check int) "missing directory is not an invalidation" 0
+    (Obs.counter obs "ccache.invalidations")
+
+(* a --ccache import passes the shard validator and lands on disk as
+   shards: re-exporting it is byte-identical, and the reload a site layer
+   forces sees (and, under its new base, evicts) every imported entry *)
+let import_persists_as_shards () =
+  let module Context = Ospack.Context in
+  let solving = Context.create () in
+  List.iter
+    (fun q ->
+      match Ospack.Commands.spec solving q with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" q e)
+    [ "libelf"; "libdwarf"; "mpileaks" ];
+  let export = Context.export_ccache solving in
+  let obs = Obs.create () in
+  let ctx = Context.create ~ccache_json:export ~obs () in
+  Alcotest.(check int) "a clean import evicts nothing" 0
+    (Obs.counter obs "ccache.invalidations");
+  Alcotest.(check string) "export round-trips" export
+    (Context.export_ccache ctx);
+  Alcotest.(check int) "three entries in three shards" 3
+    (List.length
+       (Result.get_ok (Vfs.ls ctx.Context.vfs ctx.Context.ccache_path)));
+  ignore
+    (Context.with_site_packages ctx [ make_pkg "sitepkg" [ version "1.0" ] ]);
+  Alcotest.(check int) "the site reload saw every imported entry" 3
     (Obs.counter obs "ccache.invalidations")
 
 let mutation_forces_miss_end_to_end () =
@@ -415,17 +575,14 @@ let mutation_forces_miss_end_to_end () =
      concretize again — the second run must re-solve, not replay *)
   let packages = base_packages () in
   let fs = Vfs.create () in
-  let path = "/store/.spack-db/ccache.json" in
   let cache = Ccache.create ~context:(mk_context packages) () in
   let c1 = concretize_ok ~cache (ctx_of packages) "libx" in
-  (match Ccache.save cache fs ~path with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "save failed: %s" e);
+  save_ok cache fs;
   Alcotest.(check string) "cold pick is newest" "0.6"
     (Ospack_version.Version.to_string (Concrete.root_node c1).Concrete.version);
   let bumped = bump_libx packages in
   let obs = Obs.create () in
-  let cache2 = Ccache.load ~obs ~context:(mk_context bumped) fs ~path in
+  let cache2 = Ccache.load ~obs ~context:(mk_context bumped) fs ~path:dir in
   let c2 = concretize_ok ~cache:cache2 (ctx_of bumped) "libx" in
   Alcotest.(check int) "stale entry invalidated" 1
     (Obs.counter obs "ccache.invalidations");
@@ -459,6 +616,12 @@ let () =
           Alcotest.test_case "save/load round-trip" `Quick save_load_roundtrip;
           Alcotest.test_case "save killed at every barrier" `Quick
             save_crash_sweep;
+          Alcotest.test_case "save writes only the dirty shard" `Quick
+            save_traffic_shape;
+          Alcotest.test_case "splice renderer = reference" `Quick
+            splice_renderer_identity;
+          Alcotest.test_case "eviction counted once" `Quick
+            eviction_counted_once;
           Alcotest.test_case "unrelated edit survival" `Quick
             unrelated_edit_survival;
           Alcotest.test_case "wholesale base mismatch" `Quick
@@ -467,5 +630,7 @@ let () =
             corrupt_cache_ignored;
           Alcotest.test_case "recipe edit forces re-solve" `Quick
             mutation_forces_miss_end_to_end;
+          Alcotest.test_case "import persists as shards" `Quick
+            import_persists_as_shards;
         ] );
     ]

@@ -26,12 +26,13 @@ let ok_lock = function
         (Environment.lock_error_to_string e)
 
 (* every file and symlink under a root, with content/target — the
-   byte-identity probe; the ccache is excluded because only a solving
-   context writes one *)
+   byte-identity probe; the ccache shard directory is excluded because
+   only a solving context writes one *)
 let snapshot ctx root =
   Vfs.walk ctx.Context.vfs root
   |> List.filter_map (fun (path, kind) ->
-         if path = "/ospack/opt/.spack-db/ccache.json" then None
+         let ccache = "/ospack/opt/.spack-db/ccache/" in
+         if String.starts_with ~prefix:ccache (path ^ "/") then None
          else
            match kind with
            | Vfs.File ->
