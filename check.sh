@@ -235,6 +235,26 @@ grep -q 'kill point' "$env_tmp/torture.out"
 # the typed staleness refusal, and closure-exact shared-store views
 ./_build/default/bench/main.exe env --check > /dev/null
 
+echo "== perfbench smoke: install-synth and env-lifecycle correct, no failed request"
+# short real-time runs exercise the harness's own checks on the store:
+# a reloaded index equal to the live database (install-synth) and a
+# byte-identical locked replay into an empty store (env-lifecycle)
+pb_tmp=_build/perfbench-smoke
+mkdir -p "$pb_tmp"
+for w in install-synth env-lifecycle; do
+    bash perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 \
+        > "$pb_tmp/$w.out" 2> "$pb_tmp/$w.err" || true
+    last=$(tail -n 1 "$pb_tmp/$w.out")
+    case "$last" in
+        *'"correct": true'*'"failed": 0'*) ;;
+        *)
+            echo "error: perfbench $w did not pass its checks:" >&2
+            cat "$pb_tmp/$w.err" >&2
+            echo "$last" >&2
+            exit 1 ;;
+    esac
+done
+
 echo "== checking for stray _build files in git"
 # nothing under _build/ may be tracked, and none may appear in git status
 # (deletions are fine — that is _build being purged, not committed)

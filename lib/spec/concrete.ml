@@ -13,7 +13,17 @@ type node = {
   provided : (string * Vlist.t) list;
 }
 
-type t = { root : string; nodes : node Smap.t; dag : Dag.t }
+type t = {
+  root : string;
+  nodes : node Smap.t;
+  dag : Dag.t;
+  hashes : string Smap.t Lazy.t;
+      (** every node's sub-DAG hash, computed on first use; a subspec
+          shares its parent's, since a sub-DAG's hashes are the parent's
+          restricted to it. Compare specs with [equal] only: polymorphic
+          [=] raises on an unforced lazy and tells a forced one from an
+          unforced one. *)
+}
 
 type validation_error =
   | Missing_root of string
@@ -26,6 +36,49 @@ let pp_validation_error fmt = function
       Format.fprintf fmt "%s depends on %s, which is not in the DAG" node dep
   | Cyclic cycle ->
       Format.fprintf fmt "dependency cycle: %s" (String.concat " -> " cycle)
+
+let variants_to_string variants =
+  Smap.bindings variants
+  |> List.map (fun (v, enabled) -> (if enabled then "+" else "~") ^ v)
+  |> String.concat ""
+
+let node_to_string n =
+  let cname, cver = n.compiler in
+  Printf.sprintf "%s@%s%%%s@%s%s=%s" n.name
+    (Version.to_string n.version)
+    cname
+    (Version.to_string cver)
+    (variants_to_string n.variants)
+    n.arch
+
+(* The canonical identity string hashed for a node includes everything that
+   affects the build: parameters, provided virtuals, and the hashes of the
+   dependency sub-DAGs (so equal sub-DAGs share hashes — Fig. 9). *)
+let compute_hashes nodes =
+  let memo = Hashtbl.create 16 in
+  let rec hash_of name =
+    match Hashtbl.find_opt memo name with
+    | Some h -> h
+    | None ->
+        let n = Smap.find name nodes in
+        let provided =
+          List.map
+            (fun (v, vl) -> Printf.sprintf "%s=%s" v (Vlist.to_string vl))
+            n.provided
+          |> String.concat ","
+        in
+        let dep_hashes = List.map hash_of n.deps in
+        let identity =
+          String.concat "|"
+            (node_to_string n :: provided :: dep_hashes)
+        in
+        let h =
+          String.sub (Ospack_hash.Sha256.hex_digest identity) 0 8
+        in
+        Hashtbl.replace memo name h;
+        h
+  in
+  Smap.mapi (fun name _ -> hash_of name) nodes
 
 let build_dag nodes =
   List.fold_left
@@ -58,7 +111,8 @@ let make ~root node_list =
         let dag = build_dag node_list in
         (match Dag.topological_sort dag with
         | Error cycle -> Error (Cyclic cycle)
-        | Ok _ -> Ok { root; nodes; dag })
+        | Ok _ ->
+            Ok { root; nodes; dag; hashes = lazy (compute_hashes nodes) })
 
 let root t = t.root
 let node t name = Smap.find_opt name t.nodes
@@ -84,6 +138,7 @@ let subspec t name =
         (fun m n -> Smap.add n (node_exn t n) m)
         Smap.empty keep;
     dag = Dag.subgraph t.dag name;
+    hashes = t.hashes;
   }
 
 let topological_order t =
@@ -91,53 +146,9 @@ let topological_order t =
   | Ok order -> order
   | Error _ -> assert false (* validated acyclic in [make] *)
 
-let variants_to_string variants =
-  Smap.bindings variants
-  |> List.map (fun (v, enabled) -> (if enabled then "+" else "~") ^ v)
-  |> String.concat ""
-
-let node_to_string n =
-  let cname, cver = n.compiler in
-  Printf.sprintf "%s@%s%%%s@%s%s=%s" n.name
-    (Version.to_string n.version)
-    cname
-    (Version.to_string cver)
-    (variants_to_string n.variants)
-    n.arch
-
-(* The canonical identity string hashed for a node includes everything that
-   affects the build: parameters, provided virtuals, and the hashes of the
-   dependency sub-DAGs (so equal sub-DAGs share hashes — Fig. 9). *)
-let hashes t =
-  let memo = Hashtbl.create 16 in
-  let rec hash_of name =
-    match Hashtbl.find_opt memo name with
-    | Some h -> h
-    | None ->
-        let n = node_exn t name in
-        let provided =
-          List.map
-            (fun (v, vl) -> Printf.sprintf "%s=%s" v (Vlist.to_string vl))
-            n.provided
-          |> String.concat ","
-        in
-        let dep_hashes = List.map hash_of n.deps in
-        let identity =
-          String.concat "|"
-            (node_to_string n :: provided :: dep_hashes)
-        in
-        let h =
-          String.sub (Ospack_hash.Sha256.hex_digest identity) 0 8
-        in
-        Hashtbl.replace memo name h;
-        h
-  in
-  Smap.mapi (fun name _ -> hash_of name) t.nodes
-
 let dag_hash t name =
-  match Smap.find_opt name (hashes t) with
-  | Some h -> h
-  | None -> invalid_arg (Printf.sprintf "Concrete.dag_hash: no node %s" name)
+  if Smap.mem name t.nodes then Smap.find name (Lazy.force t.hashes)
+  else invalid_arg (Printf.sprintf "Concrete.dag_hash: no node %s" name)
 
 let root_hash t = dag_hash t t.root
 

@@ -64,7 +64,10 @@ val topological_order : t -> string list
 val dag_hash : t -> string -> string
 (** 8-hex-character hash of the sub-DAG rooted at a node: the paper's
     basis for unique install prefixes (§3.4.2) and sub-DAG sharing
-    (Fig. 9) — two equal sub-DAGs have equal hashes. *)
+    (Fig. 9) — two equal sub-DAGs have equal hashes. Memoised per value:
+    the first call hashes every node once, later calls (and every
+    {!subspec} of the value, which shares the table) only look it up.
+    Raises [Invalid_argument] for a node outside the value. *)
 
 val root_hash : t -> string
 
@@ -93,6 +96,9 @@ val tree_string : t -> string
 (** Multi-line ASCII dependency tree (like [spack spec]). *)
 
 val equal : t -> t -> bool
+(** The only equality on [t]: a value carries its lazily computed hash
+    table, so polymorphic [=] and [compare] may raise or tell equal specs
+    apart. *)
 
 val to_json : t -> Ospack_json.Json.t
 (** Structured serialization of the full DAG — ospack's [spec.json],

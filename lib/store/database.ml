@@ -10,32 +10,62 @@ type record = {
   r_build_seconds : float;
 }
 
-type t = (string, record) Hashtbl.t
+(* Records sort by package name, then hash: the order of [all] and of
+   every index shard. *)
+module Key = struct
+  type t = string * string
 
-let create () = Hashtbl.create 64
+  let compare (n1, h1) (n2, h2) =
+    match String.compare n1 n2 with 0 -> String.compare h1 h2 | c -> c
+end
+
+module Kmap = Map.Make (Key)
+module Smap = Map.Make (String)
+
+let key r = (Concrete.root r.r_spec, r.r_hash)
+let shard_of_hash hash = String.sub hash 0 2
+
+type t = {
+  by_hash : (string, record) Hashtbl.t;
+  mutable shards : record Kmap.t Smap.t;
+      (* the same records grouped by [shard_of_hash], kept in step by
+         [add] and [remove] so a shard renders without a scan of the
+         store; a group that empties is dropped *)
+}
+
+let create () = { by_hash = Hashtbl.create 64; shards = Smap.empty }
+
+let update_shard t hash f =
+  t.shards <-
+    Smap.update (shard_of_hash hash)
+      (fun group ->
+        let group = f (Option.value group ~default:Kmap.empty) in
+        if Kmap.is_empty group then None else Some group)
+      t.shards
 
 let add t record =
   let record =
-    match Hashtbl.find_opt t record.r_hash with
+    match Hashtbl.find_opt t.by_hash record.r_hash with
     | Some existing ->
+        update_shard t existing.r_hash (Kmap.remove (key existing));
         { record with r_explicit = record.r_explicit || existing.r_explicit }
     | None -> record
   in
-  Hashtbl.replace t record.r_hash record
+  Hashtbl.replace t.by_hash record.r_hash record;
+  update_shard t record.r_hash (Kmap.add (key record) record)
 
-let find_by_hash t hash = Hashtbl.find_opt t hash
+let find_by_hash t hash = Hashtbl.find_opt t.by_hash hash
 
-let sorted records =
-  List.sort
-    (fun a b ->
-      match
-        String.compare (Concrete.root a.r_spec) (Concrete.root b.r_spec)
-      with
-      | 0 -> String.compare a.r_hash b.r_hash
-      | c -> c)
-    records
+let all t =
+  Hashtbl.fold (fun _ r acc -> r :: acc) t.by_hash []
+  |> List.sort (fun a b -> Key.compare (key a) (key b))
 
-let all t = Hashtbl.fold (fun _ r acc -> r :: acc) t [] |> sorted
+let shard t k =
+  match Smap.find_opt k t.shards with
+  | None -> []
+  | Some group -> List.map snd (Kmap.bindings group)
+
+let shards t = List.map fst (Smap.bindings t.shards)
 
 let find_by_name t name =
   all t |> List.filter (fun r -> Concrete.root r.r_spec = name)
@@ -43,7 +73,7 @@ let find_by_name t name =
 let find_satisfying t query =
   all t |> List.filter (fun r -> Concrete.satisfies r.r_spec query)
 
-let count t = Hashtbl.length t
+let count t = Hashtbl.length t.by_hash
 
 let dependents_of t hash =
   all t
@@ -135,7 +165,8 @@ let remove t hash =
   | Some record -> (
       match dependents_of t hash with
       | [] ->
-          Hashtbl.remove t hash;
+          Hashtbl.remove t.by_hash hash;
+          update_shard t hash (Kmap.remove (key record));
           Ok record
       | deps ->
           Error

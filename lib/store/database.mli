@@ -39,6 +39,16 @@ val all : t -> record list
 
 val count : t -> int
 
+val shard_of_hash : string -> string
+(** The index shard a hash belongs to: its first two hex characters. *)
+
+val shard : t -> string -> record list
+(** The records of one shard, in {!all}'s order ([all] filtered to the
+    shard), without a scan of the whole database. *)
+
+val shards : t -> string list
+(** The non-empty shards, sorted. *)
+
 val dependents_of : t -> string -> record list
 (** Records whose spec contains the given hash as a {e non-root} node —
     the installs that would break if it were removed. *)

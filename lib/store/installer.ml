@@ -136,10 +136,9 @@ let pending_dir t = db_root t ^ "/pending"
 let pending_path t hash = pending_dir t ^ "/" ^ hash
 
 let shard_format = 2
-let shard_of_hash hash = String.sub hash 0 2
 
 let mark_dirty t hash =
-  t.dirty_shards <- SSet.add (shard_of_hash hash) t.dirty_shards
+  t.dirty_shards <- SSet.add (Database.shard_of_hash hash) t.dirty_shards
 
 let add_record t record =
   Database.add t.db record;
@@ -148,10 +147,7 @@ let add_record t record =
 let index_bytes_written t = t.index_bytes
 
 (* the shard set a fully persisted store would have right now *)
-let live_shards t =
-  List.fold_left
-    (fun s (r : Database.record) -> SSet.add (shard_of_hash r.r_hash) s)
-    SSet.empty (Database.all t.db)
+let live_shards t = SSet.of_list (Database.shards t.db)
 
 let write_index_file t ~path content =
   match Vfs.write_atomic t.vfs path content with
@@ -161,12 +157,7 @@ let write_index_file t ~path content =
       t.index_bytes <- t.index_bytes + String.length content;
       Ok ()
 
-let shard_content t key =
-  let records =
-    List.filter
-      (fun (r : Database.record) -> shard_of_hash r.r_hash = key)
-      (Database.all t.db)
-  in
+let shard_content records =
   Json.to_string ~indent:2
     (Json.Obj
        [
@@ -185,35 +176,45 @@ let manifest_content shards =
        ])
   ^ "\n"
 
+(* Only a dirty shard can have gained its first record or lost its last,
+   so the live shard set is the manifest's, updated by the dirty shards.
+   The dirty set clears only once the manifest is written too: a save that
+   fails part-way redoes every shard, and the manifest, next time. *)
 let save_index t =
-  let live = live_shards t in
-  let rec persist = function
-    | [] -> Ok ()
+  let rec persist live = function
+    | [] -> Ok live
     | key :: rest ->
-        let* () =
-          if SSet.mem key live then
-            write_index_file t ~path:(shard_path t key) (shard_content t key)
-          else (
-            (* the shard's last record was uninstalled: drop the file *)
-            match Vfs.remove t.vfs (shard_path t key) with
-            | Ok () | Error (Vfs.Not_found _) -> Ok ()
-            | Error e ->
-                Error
-                  (Store_io
-                     { se_action = "remove"; se_path = shard_path t key;
-                       se_cause = e }))
+        let path = shard_path t key in
+        let* live =
+          match Database.shard t.db key with
+          | [] -> (
+              (* the shard's last record was uninstalled: drop the file *)
+              match Vfs.remove t.vfs path with
+              | Ok () | Error (Vfs.Not_found _) -> Ok (SSet.remove key live)
+              | Error e ->
+                  Error
+                    (Store_io
+                       { se_action = "remove"; se_path = path; se_cause = e }))
+          | records ->
+              let* () = write_index_file t ~path (shard_content records) in
+              Ok (SSet.add key live)
         in
-        t.dirty_shards <- SSet.remove key t.dirty_shards;
-        persist rest
+        persist live rest
   in
-  let* () = persist (SSet.elements t.dirty_shards) in
-  if SSet.equal live t.manifest_shards then Ok ()
-  else
-    let* () =
-      write_index_file t ~path:(manifest_path t) (manifest_content live)
-    in
-    t.manifest_shards <- live;
-    Ok ()
+  let* live = persist t.manifest_shards (SSet.elements t.dirty_shards) in
+  (* [SSet.add]/[remove] return their argument when membership is
+     unchanged, so physical equality means the manifest is current *)
+  let* () =
+    if live == t.manifest_shards then Ok ()
+    else
+      let* () =
+        write_index_file t ~path:(manifest_path t) (manifest_content live)
+      in
+      t.manifest_shards <- live;
+      Ok ()
+  in
+  t.dirty_shards <- SSet.empty;
+  Ok ()
 
 let parse_shard ~path content =
   match Json.of_string content with
@@ -308,7 +309,7 @@ let load_index_typed t =
   let before = Database.count t.db in
   (* 1. merge every stored shard *)
   let* shards = stored_shards t in
-  let* shard_records =
+  let* rev_records =
     SSet.fold
       (fun key acc ->
         let* acc = acc in
@@ -319,10 +320,10 @@ let load_index_typed t =
             Error (Store_io { se_action = "read"; se_path = path; se_cause = e })
         | Ok content ->
             let* records = parse_shard ~path content in
-            Ok (acc @ records))
+            Ok (List.rev_append records acc))
       shards (Ok [])
   in
-  List.iter (Database.add t.db) shard_records;
+  List.iter (Database.add t.db) (List.rev rev_records);
   t.manifest_shards <- live_shards t;
   (* 2. crash recovery: clear orphaned pending prefixes *)
   let recovered = recover_pending t in
@@ -761,7 +762,7 @@ let install_parallel t ?(explicit = true) ~jobs specs =
   else begin
     (* merge the spec DAGs into one table keyed by sub-DAG hash; the
        first occurrence fixes the node's deterministic dispatch priority *)
-    let index_of = Hashtbl.create 64 in
+    let index_of = Hashtbl.create 64 (* hash -> (index, node) *) in
     let rev_infos = ref [] in
     let n_nodes = ref 0 in
     List.iter
@@ -772,20 +773,15 @@ let install_parallel t ?(explicit = true) ~jobs specs =
             let hash = Concrete.dag_hash spec name in
             let is_explicit = explicit && name = root in
             match Hashtbl.find_opt index_of hash with
-            | Some idx ->
-                if is_explicit then begin
-                  let nd = List.nth !rev_infos (!n_nodes - 1 - idx) in
-                  nd.pn_explicit <- true
-                end
+            | Some (_, nd) -> if is_explicit then nd.pn_explicit <- true
             | None ->
                 let deps =
                   List.map
                     (fun dep ->
-                      Hashtbl.find index_of (Concrete.dag_hash spec dep))
+                      fst (Hashtbl.find index_of (Concrete.dag_hash spec dep)))
                     (Concrete.node_exn spec name).Concrete.deps
                 in
-                Hashtbl.add index_of hash !n_nodes;
-                rev_infos :=
+                let nd =
                   {
                     pn_name = name;
                     pn_hash = hash;
@@ -793,7 +789,9 @@ let install_parallel t ?(explicit = true) ~jobs specs =
                     pn_explicit = is_explicit;
                     pn_deps = deps;
                   }
-                  :: !rev_infos;
+                in
+                Hashtbl.add index_of hash (!n_nodes, nd);
+                rev_infos := nd :: !rev_infos;
                 incr n_nodes)
           (Concrete.topological_order spec))
       specs;

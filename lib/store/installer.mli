@@ -271,10 +271,7 @@ val manifest_path : t -> string
 (** The shard manifest ([<index_dir>/manifest.json]). *)
 
 val shard_path : t -> string -> string
-(** Path of one shard file by 2-hex key. *)
-
-val shard_of_hash : string -> string
-(** The shard key of a record hash (its first two hex characters). *)
+(** Path of one shard file by 2-hex key ({!Database.shard_of_hash}). *)
 
 val index_bytes_written : t -> int
 (** Cumulative bytes this installer wrote persisting the index (shard and

@@ -515,6 +515,57 @@ let concrete_hashing () =
   Alcotest.(check bool) "variant affects hash" true
     (Concrete.root_hash with_variant <> Concrete.root_hash without)
 
+(* [dag_hash] is memoised per value and shared with every subspec; it
+   must agree with a freshly made copy of each node's sub-DAG, whatever
+   order the values are first hashed in. *)
+let concrete_hash_memo () =
+  let fresh_hash v name =
+    let rec reach seen n =
+      if List.mem n seen then seen
+      else List.fold_left reach (n :: seen) (Concrete.node_exn v n).Concrete.deps
+    in
+    match
+      Concrete.make ~root:name (List.map (Concrete.node_exn v) (reach [] name))
+    with
+    | Ok copy -> Concrete.root_hash copy
+    | Error e -> Alcotest.failf "copy invalid: %a" Concrete.pp_validation_error e
+  in
+  let agrees what v =
+    List.iter
+      (fun n ->
+        let name = n.Concrete.name in
+        Alcotest.(check string) (what ^ " " ^ name) (fresh_hash v name)
+          (Concrete.dag_hash v name))
+      (Concrete.nodes v)
+  in
+  (* nested subspecs hashed before the value they come from *)
+  let c = sample () in
+  let libx = Concrete.subspec c "libx" in
+  let libz = Concrete.subspec libx "libz" in
+  agrees "nested subspec" libz;
+  agrees "subspec" libx;
+  agrees "made" c;
+  let parsed =
+    match Concrete.of_json (Concrete.to_json c) with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "of_json: %s" e
+  in
+  agrees "subspec of parsed" (Concrete.subspec parsed "mpi-impl");
+  agrees "parsed" parsed;
+  (* the shared table holds the parent's nodes; a subspec still refuses
+     every name outside its own sub-DAG *)
+  List.iter
+    (fun outside ->
+      Alcotest.check_raises ("no " ^ outside ^ " under libx")
+        (Invalid_argument ("Concrete.dag_hash: no node " ^ outside))
+        (fun () -> ignore (Concrete.dag_hash libx outside)))
+    [ "app"; "mpi-impl"; "ghost" ];
+  (* equality ignores whether a value has been hashed yet *)
+  Alcotest.(check bool) "hashed equals unhashed" true
+    (Concrete.equal c (sample ()));
+  Alcotest.(check bool) "unhashed equals hashed" true
+    (Concrete.equal (sample ()) parsed)
+
 let concrete_rendering () =
   let c = sample () in
   let line = Concrete.to_string c in
@@ -557,6 +608,8 @@ let () =
           Alcotest.test_case "queries" `Quick concrete_queries;
           Alcotest.test_case "satisfies" `Quick concrete_satisfies;
           Alcotest.test_case "hashing" `Quick concrete_hashing;
+          Alcotest.test_case "hashes memoised per value" `Quick
+            concrete_hash_memo;
           Alcotest.test_case "rendering" `Quick concrete_rendering;
         ] );
     ]

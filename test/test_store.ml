@@ -12,6 +12,7 @@ module Database = Ospack_store.Database
 module Installer = Ospack_store.Installer
 module Provenance = Ospack_store.Provenance
 module Vfs = Ospack_vfs.Vfs
+module Json = Ospack_json.Json
 
 let repo =
   Repository.create
@@ -637,7 +638,7 @@ let index_persistence () =
   List.iter
     (fun (r : Database.record) ->
       let shard =
-        Installer.shard_path first (Installer.shard_of_hash r.Database.r_hash)
+        Installer.shard_path first (Database.shard_of_hash r.Database.r_hash)
       in
       Alcotest.(check bool) (shard ^ " exists") true (Vfs.is_file vfs shard))
     records;
@@ -659,6 +660,147 @@ let index_persistence () =
   let empty = Installer.create ~vfs:(Vfs.create ()) ~repo ~compilers () in
   Alcotest.(check (result int string)) "no index yet" (Ok 0)
     (Installer.load_index empty)
+
+(* The index shards track every mutation. A seeded sequence of installs,
+   explicit re-installs of reused dependencies (flipping [r_explicit]),
+   uninstalls and reloads: after each node's save and each other step,
+   every shard file must hold exactly [Database.all] filtered to that
+   shard, and the manifest must list exactly the non-empty shards. *)
+
+let shard_tracking () =
+  let rng = Random.State.make [| 15 |] in
+  let n = 30 in
+  let pkg i = Printf.sprintf "p%02d" i in
+  let gen_repo =
+    Repository.create
+      (List.init n (fun i ->
+           let deps =
+             if i = 0 then []
+             else
+               List.sort_uniq compare
+                 (List.init (Random.State.int rng 3) (fun _ ->
+                      Random.State.int rng i))
+           in
+           make_pkg (pkg i)
+             ([ version "1.0"; version "2.0" ]
+             @ List.map (fun d -> depends_on (pkg d)) deps)))
+  in
+  let gen_cctx = Concretizer.make_ctx ~compilers gen_repo in
+  let vfs = Vfs.create () in
+  let inst = ref (Installer.create ~vfs ~repo:gen_repo ~compilers ()) in
+  let render j = Json.to_string ~indent:2 j ^ "\n" in
+  let read path =
+    match Vfs.read_file vfs path with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "read %s: %s" path (Vfs.error_to_string e)
+  in
+  let widest = ref 0 in
+  let check_index step =
+    let all = Database.all (Installer.database !inst) in
+    let live =
+      List.sort_uniq String.compare
+        (List.map (fun r -> Database.shard_of_hash r.Database.r_hash) all)
+    in
+    List.iter
+      (fun key ->
+        let records =
+          List.filter
+            (fun r -> Database.shard_of_hash r.Database.r_hash = key)
+            all
+        in
+        widest := max !widest (List.length records);
+        Alcotest.(check string)
+          (Printf.sprintf "%s: shard %s" step key)
+          (render
+             (Json.Obj
+                [
+                  ("format", Json.Int 2);
+                  ("records", Json.List (List.map Database.record_to_json records));
+                ]))
+          (read (Installer.shard_path !inst key)))
+      live;
+    Alcotest.(check string) (step ^ ": manifest")
+      (render
+         (Json.Obj
+            [
+              ("format", Json.Int 2);
+              ("shards", Json.List (List.map (fun k -> Json.String k) live));
+            ]))
+      (read (Installer.manifest_path !inst));
+    let on_disk =
+      match Vfs.ls vfs (Installer.index_dir !inst) with
+      | Ok names -> List.filter (fun f -> f <> "manifest.json") names
+      | Error e -> Alcotest.failf "ls: %s" (Vfs.error_to_string e)
+    in
+    Alcotest.(check (slist string String.compare)) (step ^ ": shard files")
+      (List.map (fun k -> k ^ ".json") live) on_disk
+  in
+  let flips = ref 0 and removals = ref 0 in
+  for step = 1 to 120 do
+    let db = Installer.database !inst in
+    let what =
+      match Random.State.int rng 10 with
+      | 0 ->
+          (* a fresh installer on the same store picks the index up *)
+          let before = List.map Database.record_to_json (Database.all db) in
+          inst := Installer.create ~vfs ~repo:gen_repo ~compilers ();
+          (match Installer.load_index !inst with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "load_index: %s" e);
+          Alcotest.(check bool) "reload equals the live database" true
+            (before
+            = List.map Database.record_to_json
+                (Database.all (Installer.database !inst)));
+          "reload"
+      | 1 | 2 | 3 -> (
+          let leaves =
+            List.filter
+              (fun r -> Database.dependents_of db r.Database.r_hash = [])
+              (Database.all db)
+          in
+          match leaves with
+          | [] -> "nothing to uninstall"
+          | _ ->
+              let r = List.nth leaves (Random.State.int rng (List.length leaves)) in
+              (match Installer.uninstall !inst ~hash:r.Database.r_hash with
+              | Ok _ -> incr removals
+              | Error e -> Alcotest.failf "uninstall: %s" e);
+              "uninstall " ^ Concrete.root r.Database.r_spec)
+      | _ ->
+          let spec =
+            Printf.sprintf "%s@%d.0"
+              (pkg (Random.State.int rng n))
+              (1 + Random.State.int rng 2)
+          in
+          let c =
+            match Concretizer.concretize_string gen_cctx spec with
+            | Ok c -> c
+            | Error e -> Alcotest.failf "concretize %s: %s" spec e
+          in
+          (match Database.find_by_hash db (Concrete.root_hash c) with
+          | Some r when not r.Database.r_explicit -> incr flips
+          | _ -> ());
+          (* one node at a time, dependencies first, so each new node's
+             save is checked on its own *)
+          List.iter
+            (fun name ->
+              (match
+                 Installer.install !inst
+                   ~explicit:(name = Concrete.root c)
+                   (Concrete.subspec c name)
+               with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "install %s: %s" spec e);
+              check_index
+                (Printf.sprintf "step %d (install %s, node %s)" step spec name))
+            (Concrete.topological_order c);
+          "install " ^ spec
+    in
+    check_index (Printf.sprintf "step %d (%s)" step what)
+  done;
+  Alcotest.(check bool) "explicit flips exercised" true (!flips > 0);
+  Alcotest.(check bool) "uninstalls exercised" true (!removals > 0);
+  Alcotest.(check bool) "a shard held several records" true (!widest >= 2)
 
 let () =
   Alcotest.run "store"
@@ -682,6 +824,8 @@ let () =
             external_spec_mismatch;
           Alcotest.test_case "on-disk index persistence" `Quick
             index_persistence;
+          Alcotest.test_case "index shards track every mutation" `Quick
+            shard_tracking;
           Alcotest.test_case "binary cache with relocation" `Quick
             buildcache_roundtrip;
           Alcotest.test_case "buildcache save error propagation" `Quick
