@@ -1025,7 +1025,17 @@ let solve_doc () =
    - ccache save traffic: 32 consecutive saves, one new entry each.
      Fails unless the last save wrote at most 3x the bytes of the first
      (a whole-cache rewrite writes ~27x): a deterministic shape gate on
-     bytes, not time. *)
+     bytes, not time.
+   - node table: every package of a synthetic chain (each depends on the
+     previous two) installed as a root, N and 10·N of them. Fails unless
+     the index holds at most 1.5x the bytes per record at 10·N that it
+     holds at N: a record stores its own node, not its sub-DAG, whose
+     size grows with the chain. --inject-subdag-copy adds a copy of each
+     record's sub-DAG to the count, the gate's self-test. The gate covers
+     the record shape (no sub-DAG embedding), not save traffic: the
+     bytes a save writes still grow with shard occupancy. *)
+let inject_subdag_copy = ref false
+
 let store_doc () =
   let module Obs = Ospack_obs.Obs in
   let module Json = Ospack_json.Json in
@@ -1213,6 +1223,66 @@ let store_doc () =
     failwith
       (Printf.sprintf "ccache accounting mismatch: %d + %d <> %d" survivors
          evicted stored);
+  (* --- node table: index bytes per record at N vs 10N chain roots --- *)
+  let chain n =
+    let open Ospack_package.Package in
+    let name i = Printf.sprintf "chain-%03d" i in
+    let crepo =
+      Repository.create
+        (List.init n (fun i ->
+             make_pkg (name i)
+               (version "1.0"
+               :: List.filter_map
+                    (fun d -> if d >= 0 then Some (depends_on (name d)) else None)
+                    [ i - 1; i - 2 ])))
+    in
+    let cinst = Installer.create ~config ~vfs:(Vfs.create ()) ~repo:crepo ~compilers () in
+    let top =
+      match
+        Concretizer.concretize
+          (Concretizer.make_ctx ~config ~compilers crepo)
+          (parse (name (n - 1)))
+      with
+      | Ok c -> c
+      | Error e -> failwith ("chain: " ^ Ospack_concretize.Cerror.to_string e)
+    in
+    List.iter
+      (fun node ->
+        match Installer.install cinst (Concrete.subspec top node) with
+        | Ok _ -> ()
+        | Error e -> failwith ("chain install: " ^ e))
+      (Concrete.topological_order top);
+    let records = Database.all (Installer.database cinst) in
+    let index_bytes =
+      List.fold_left
+        (fun acc (p, kind) ->
+          match (kind, Vfs.read_file (Installer.vfs cinst) p) with
+          | Vfs.File, Ok bytes -> acc + String.length bytes
+          | _ -> acc)
+        0
+        (Vfs.walk (Installer.vfs cinst) (Installer.index_dir cinst))
+    in
+    let copies =
+      if not !inject_subdag_copy then 0
+      else
+        List.fold_left
+          (fun acc r ->
+            acc + String.length (Json.to_string ~indent:2 (Concrete.to_json r.Database.r_spec)))
+          0 records
+    in
+    (List.length records, (index_bytes + copies) / List.length records)
+  in
+  let chain_roots = 20 in
+  let small_records, small_per_record = chain chain_roots in
+  let large_records, large_per_record = chain (10 * chain_roots) in
+  let per_record_ratio_pct = 100 * large_per_record / small_per_record in
+  if per_record_ratio_pct > 150 then
+    failwith
+      (Printf.sprintf
+         "node table: %d bytes per index record at %d records vs %d at %d \
+          (%d%%) — a record must store its own node, not its sub-DAG"
+         large_per_record large_records small_per_record small_records
+         per_record_ratio_pct);
   let doc =
     Json.Obj
       [
@@ -1253,6 +1323,15 @@ let store_doc () =
               ("last_save_bytes", Json.Int last_save);
               ("save_bytes_growth_pct", Json.Int save_growth_pct);
             ] );
+        ( "node_table",
+          Json.Obj
+            [
+              ("small_records", Json.Int small_records);
+              ("small_bytes_per_record", Json.Int small_per_record);
+              ("large_records", Json.Int large_records);
+              ("large_bytes_per_record", Json.Int large_per_record);
+              ("bytes_per_record_ratio_pct", Json.Int per_record_ratio_pct);
+            ] );
       ]
   in
   Printf.printf
@@ -1260,12 +1339,14 @@ let store_doc () =
      index traffic: %d bytes sharded vs %d legacy (%d%%)\n\
      warm queries: %d served, %d hits\n\
      ccache: %d entries; editing %s evicted %d, %d survived\n\
-     ccache saves: last of %d wrote %d bytes vs %d for the first (%d%%)\n"
+     ccache saves: last of %d wrote %d bytes vs %d for the first (%d%%)\n\
+     node table: %d bytes per record at %d records vs %d at %d (%d%%)\n"
     (List.length fig10_packages) (Database.count db) sharded_total
     legacy_total
     (100 * sharded_total / legacy_total)
     query_count !hits stored edited evicted survivors
-    saves last_save first_save save_growth_pct;
+    saves last_save first_save save_growth_pct large_per_record large_records
+    small_per_record small_records per_record_ratio_pct;
   doc
 
 (* --- the buildcache mode: mirror fleet + splice ------------------------
@@ -1724,7 +1805,7 @@ let rec inject_costs pct json =
 let usage () =
   prerr_endline
     "usage: main.exe [MODE [PATH] [--check | --update-baselines] \
-     [--inject-cost-pct P]]\n\
+     [--inject-cost-pct P] [--inject-subdag-copy]]\n\
      modes: obs | parallel | concretize | solve | store | buildcache | env \
      (no mode: the full table/figure run)\n\
      MODE PATH            write the document to an explicit scratch PATH\n\
@@ -1733,7 +1814,9 @@ let usage () =
      MODE --update-baselines  write the committed baseline (explicit \
      re-baselining)\n\
      --inject-cost-pct P  scale every virtual-time metric by +P% first \
-     (gate self-test)";
+     (gate self-test)\n\
+     --inject-subdag-copy  count a sub-DAG copy per index record (store \
+     gate self-test)";
   exit 2
 
 let run_mode name doc_fn default_path args =
@@ -1748,6 +1831,9 @@ let run_mode name doc_fn default_path args =
         parse rest
     | "--update-baselines" :: rest ->
         update := true;
+        parse rest
+    | "--inject-subdag-copy" :: rest ->
+        inject_subdag_copy := true;
         parse rest
     | "--inject-cost-pct" :: p :: rest ->
         (match float_of_string_opt p with

@@ -160,9 +160,17 @@ grep -q 'kill point' "$st_tmp/torture-j1.out"
 ./_build/default/bin/spack.exe torture -j 4 --every 13 mpileaks > "$st_tmp/torture-j4.out"
 grep -q 'kill point' "$st_tmp/torture-j4.out"
 # the bench asserts sharded index traffic beats the legacy whole-file
-# rewrite and that a single-recipe edit leaves unrelated ccache entries
-# live (per-entry Merkle invalidation)
+# rewrite, that a single-recipe edit leaves unrelated ccache entries
+# live (per-entry Merkle invalidation), and that index bytes per record
+# do not grow with DAG depth (each record stores its own node)
 ./_build/default/bench/main.exe store --check > /dev/null
+# the node-table gate's self-test: counting a copy of each record's
+# sub-DAG (the whole-DAG record shape) must make it fire
+if ./_build/default/bench/main.exe store --check --inject-subdag-copy > "$st_tmp/inject.out" 2>&1; then
+    echo "error: bench store --check did not catch a per-record sub-DAG copy" >&2
+    exit 1
+fi
+grep -q 'a record must store its own node' "$st_tmp/inject.out"
 
 echo "== buildcache smoke: fleet trace deterministic, splice verified, check BENCH_buildcache.json"
 # the mirror-fleet trace is seeded and runs on the virtual clock, so two

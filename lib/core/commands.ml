@@ -556,23 +556,14 @@ let verify (ctx : Context.t) ?query () =
   go [] records
 
 let gc (ctx : Context.t) =
-  let db = Installer.database ctx.installer in
-  let removable () =
-    List.find_opt
-      (fun r ->
-        (not r.Database.r_explicit)
-        && Database.dependents_of db r.Database.r_hash = [])
-      (Database.all db)
-  in
-  let rec loop removed =
-    match removable () with
-    | None -> Ok (List.rev removed)
-    | Some r -> (
+  let rec loop removed = function
+    | [] -> Ok (List.rev removed)
+    | (r : Database.record) :: rest -> (
         match Installer.uninstall ctx.installer ~hash:r.Database.r_hash with
-        | Ok record -> loop (record :: removed)
+        | Ok record -> loop (record :: removed) rest
         | Error e -> Error e)
   in
-  loop []
+  loop [] (Database.collectable (Installer.database ctx.installer))
 
 let diff (ctx : Context.t) a b =
   let* ca = spec ctx a in

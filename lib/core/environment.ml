@@ -22,7 +22,7 @@ let envs_root = "/ospack/envs"
 let manifest_path name = Printf.sprintf "%s/%s/env.json" envs_root name
 let lock_path name = Printf.sprintf "%s/%s/lock.json" envs_root name
 
-let lock_format = 2
+let lock_format = 3
 
 let valid_name name =
   name <> ""
@@ -119,7 +119,7 @@ let remove_root (ctx : Context.t) t spec =
       }
 
 (* ------------------------------------------------------------------ *)
-(* Lockfile format 2                                                  *)
+(* Lockfile format 3                                                  *)
 
 type lock_error =
   | Lock_missing
@@ -150,15 +150,26 @@ type lock = {
 let current_fingerprint (ctx : Context.t) =
   Ccache.base_fingerprint (Ccache.context_of ctx.Context.ccache)
 
-(* the checksum covers the canonical rendering of every payload field,
-   so any bit of tampering — a flipped hash, an edited spec, a dropped
-   root — is detected before the fingerprint is even consulted *)
+(* Each root is named by its DAG hash; the [nodes] table holds every node
+   of every locked DAG once, keyed by hash, with its dependencies by hash.
+   The checksum covers the canonical rendering of every payload field, so
+   any bit of tampering — a flipped hash, an edited node, a dropped root —
+   is detected before the fingerprint is even consulted *)
 let lock_payload ~fingerprint ~merkle_of pairs =
+  let table = Hashtbl.create 64 in
+  List.iter
+    (fun (_, c) ->
+      List.iter
+        (fun (n : Concrete.node) ->
+          let hash = Concrete.dag_hash c n.Concrete.name in
+          if not (Hashtbl.mem table hash) then
+            Hashtbl.add table hash (Concrete.entry_to_json c n.Concrete.name))
+        (Concrete.nodes c))
+    pairs;
   [
     ("format", Json.Int lock_format);
     ("fingerprint", Json.String fingerprint);
-    ("roots", Json.List (List.map (fun (r, _) -> Json.String r) pairs));
-    ( "specs",
+    ( "roots",
       Json.List
         (List.map
            (fun (root, c) ->
@@ -167,9 +178,12 @@ let lock_payload ~fingerprint ~merkle_of pairs =
                  ("root", Json.String root);
                  ("hash", Json.String (Concrete.root_hash c));
                  ("merkle", Json.String (merkle_of c));
-                 ("concrete", Concrete.to_json c);
                ])
            pairs) );
+    ( "nodes",
+      Json.Obj
+        (Hashtbl.fold (fun h e acc -> (h, e) :: acc) table []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)) );
   ]
 
 let lock_checksum payload =
@@ -223,48 +237,60 @@ let parse_lock j =
     let* roots =
       let* r = field "roots" in
       match Json.to_list r with
-      | Some items -> Ok (List.filter_map Json.get_string items)
       | None -> Error "roots is not a list"
+      | Some items ->
+          List.fold_left
+            (fun acc item ->
+              let* roots = acc in
+              let str key =
+                match Option.bind (Json.member key item) Json.get_string with
+                | Some v -> Ok v
+                | None -> Error (Printf.sprintf "root entry: missing %s" key)
+              in
+              let* root = str "root" in
+              let* hash = str "hash" in
+              let* merkle = str "merkle" in
+              Ok ((root, hash, merkle) :: roots))
+            (Ok []) items
+          |> Result.map List.rev
     in
-    let* items =
-      let* s = field "specs" in
-      match Json.to_list s with
-      | Some items -> Ok items
-      | None -> Error "specs is not a list"
+    let* entries =
+      match field "nodes" with
+      | Ok (Json.Obj entries) -> Ok entries
+      | Ok _ -> Error "nodes is not an object"
+      | Error e -> Error e
     in
+    let* table =
+      List.fold_left
+        (fun acc (hash, ej) ->
+          let* table = acc in
+          if Hashtbl.mem table hash then
+            Error (Printf.sprintf "node %s appears twice" hash)
+          else
+            let* entry = Concrete.entry_of_json ej in
+            Hashtbl.add table hash entry;
+            Ok table)
+        (Ok (Hashtbl.create (List.length entries)))
+        entries
+    in
+    (* rebuild each root by hash; every node is built once, shared by
+       the roots that reach it *)
+    let memo = Hashtbl.create (Hashtbl.length table) in
     let* specs =
       List.fold_left
-        (fun acc item ->
+        (fun acc (root, hash, merkle) ->
           let* specs = acc in
-          let* root =
-            match Option.bind (Json.member "root" item) Json.get_string with
-            | Some r -> Ok r
-            | None -> Error "spec entry: missing root"
-          in
-          let* recorded_hash =
-            match Option.bind (Json.member "hash" item) Json.get_string with
-            | Some h -> Ok h
-            | None -> Error "spec entry: missing hash"
-          in
-          let* merkle =
-            match Option.bind (Json.member "merkle" item) Json.get_string with
-            | Some m -> Ok m
-            | None -> Error "spec entry: missing merkle"
-          in
-          let* c =
-            match Json.member "concrete" item with
-            | Some cj -> Concrete.of_json cj
-            | None -> Error "spec entry: missing concrete"
-          in
-          if Concrete.root_hash c <> recorded_hash then
-            Error
-              (Printf.sprintf "%s: recorded hash %s does not match its DAG"
-                 root recorded_hash)
-          else Ok ((root, merkle, c) :: specs))
-        (Ok []) items
+          match Concrete.of_table ~find:(Hashtbl.find_opt table) memo hash with
+          | Ok c -> Ok ((root, merkle, c) :: specs)
+          | Error (_, why) -> Error why)
+        (Ok []) roots
       |> Result.map List.rev
     in
-    Ok (fingerprint, roots, specs)
+    (* a node no root reaches is not covered by any root's hash *)
+    let unreached = Hashtbl.length table - Hashtbl.length memo in
+    if unreached > 0 then
+      Error (Printf.sprintf "%d node(s) in the table are not reached by any root" unreached)
+    else Ok (fingerprint, List.map (fun (r, _, _) -> r) roots, specs)
 
 let read_lock (ctx : Context.t) t =
   match Vfs.read_file ctx.Context.vfs (lock_path t.env_name) with

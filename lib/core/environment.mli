@@ -41,8 +41,10 @@ val manifest_path : string -> string
 val lock_path : string -> string
 
 val lock_format : int
-(** Current lockfile format (2). Any other format is refused as
-    [Lock_corrupt]. *)
+(** Current lockfile format (3): [roots] lists each root with its DAG
+    hash and Merkle fingerprint, and one [nodes] table, keyed by DAG
+    hash, holds every locked node once with its dependencies by hash.
+    Any other format is refused as [Lock_corrupt]. *)
 
 val create :
   Context.t -> name:string -> ?view:string -> unit -> (t, string) result
@@ -63,7 +65,8 @@ type lock_error =
   | Lock_missing  (** no lockfile yet *)
   | Lock_corrupt of string
       (** unreadable, checksum mismatch, or internally inconsistent
-          (e.g. a recorded hash that does not match its DAG) *)
+          (a recorded hash that does not match its node, a dependency
+          hash missing from the table, a table node no root reaches) *)
   | Lock_stale of {
       lock_fp : string;  (** fingerprint recorded in the lockfile *)
       current_fp : string;  (** this context's fingerprint *)
@@ -82,9 +85,10 @@ type lock = {
 }
 
 val read_lock : Context.t -> t -> (lock, lock_error) result
-(** Read and validate the lockfile: checksum, per-spec hash consistency,
-    context fingerprint, per-spec Merkle recipe fingerprints, and that
-    the locked roots still match the manifest. *)
+(** Read and validate the lockfile: checksum, every node's hash, that
+    every table node is reached by a root, context fingerprint, per-spec
+    Merkle recipe fingerprints, and that the locked roots still match the
+    manifest. Roots sharing a sub-DAG share its value. *)
 
 val write_lock :
   Context.t ->

@@ -16,19 +16,23 @@ type node = {
 type t = {
   root : string;
   nodes : node Smap.t;
-  dag : Dag.t;
+  dag : Dag.t Lazy.t;
+      (** [make] builds it to validate; [subspec] and [compose] build it
+          on first use, which most rebuilt index records never reach *)
   hashes : string Smap.t Lazy.t;
-      (** every node's sub-DAG hash, computed on first use; a subspec
-          shares its parent's, since a sub-DAG's hashes are the parent's
-          restricted to it. Compare specs with [equal] only: polymorphic
-          [=] raises on an unforced lazy and tells a forced one from an
-          unforced one. *)
+      (** every node's sub-DAG hash, keyed exactly like [nodes] and
+          computed on first use; a subspec restricts its parent's, since a
+          sub-DAG's hashes are the parent's restricted to it. Compare
+          specs with [equal] only: polymorphic [=] raises on an unforced
+          lazy and tells a forced one from an unforced one. *)
 }
 
 type validation_error =
   | Missing_root of string
   | Missing_dep of { node : string; dep : string }
   | Cyclic of string list
+  | Duplicate_node of string
+  | Unreachable of string list
 
 let pp_validation_error fmt = function
   | Missing_root r -> Format.fprintf fmt "root package %s is not in the DAG" r
@@ -36,6 +40,10 @@ let pp_validation_error fmt = function
       Format.fprintf fmt "%s depends on %s, which is not in the DAG" node dep
   | Cyclic cycle ->
       Format.fprintf fmt "dependency cycle: %s" (String.concat " -> " cycle)
+  | Duplicate_node name ->
+      Format.fprintf fmt "package %s appears more than once in the DAG" name
+  | Unreachable names ->
+      Format.fprintf fmt "the root does not reach %s" (String.concat ", " names)
 
 let variants_to_string variants =
   Smap.bindings variants
@@ -54,6 +62,16 @@ let node_to_string n =
 (* The canonical identity string hashed for a node includes everything that
    affects the build: parameters, provided virtuals, and the hashes of the
    dependency sub-DAGs (so equal sub-DAGs share hashes — Fig. 9). *)
+let node_hash n dep_hashes =
+  let provided =
+    List.map
+      (fun (v, vl) -> Printf.sprintf "%s=%s" v (Vlist.to_string vl))
+      n.provided
+    |> String.concat ","
+  in
+  let identity = String.concat "|" (node_to_string n :: provided :: dep_hashes) in
+  String.sub (Ospack_hash.Sha256.hex_digest identity) 0 8
+
 let compute_hashes nodes =
   let memo = Hashtbl.create 16 in
   let rec hash_of name =
@@ -61,20 +79,7 @@ let compute_hashes nodes =
     | Some h -> h
     | None ->
         let n = Smap.find name nodes in
-        let provided =
-          List.map
-            (fun (v, vl) -> Printf.sprintf "%s=%s" v (Vlist.to_string vl))
-            n.provided
-          |> String.concat ","
-        in
-        let dep_hashes = List.map hash_of n.deps in
-        let identity =
-          String.concat "|"
-            (node_to_string n :: provided :: dep_hashes)
-        in
-        let h =
-          String.sub (Ospack_hash.Sha256.hex_digest identity) 0 8
-        in
+        let h = node_hash n (List.map hash_of n.deps) in
         Hashtbl.replace memo name h;
         h
   in
@@ -112,7 +117,13 @@ let make ~root node_list =
         (match Dag.topological_sort dag with
         | Error cycle -> Error (Cyclic cycle)
         | Ok _ ->
-            Ok { root; nodes; dag; hashes = lazy (compute_hashes nodes) })
+            Ok
+              {
+                root;
+                nodes;
+                dag = Lazy.from_val dag;
+                hashes = lazy (compute_hashes nodes);
+              })
 
 let root t = t.root
 let node t name = Smap.find_opt name t.nodes
@@ -126,31 +137,76 @@ let root_node t = node_exn t t.root
 let nodes t = List.map snd (Smap.bindings t.nodes)
 let node_count t = Smap.cardinal t.nodes
 let deps_of t name = List.map (node_exn t) (node_exn t name).deps
-let to_dag t = t.dag
+let to_dag t = Lazy.force t.dag
 
 let subspec t name =
   let _ = node_exn t name in
-  let keep = Dag.reachable t.dag name in
+  let dag = Lazy.force t.dag in
+  let nodes =
+    List.fold_left
+      (fun m n -> Smap.add n (node_exn t n) m)
+      Smap.empty (Dag.reachable dag name)
+  in
   {
     root = name;
-    nodes =
-      List.fold_left
-        (fun m n -> Smap.add n (node_exn t n) m)
-        Smap.empty keep;
-    dag = Dag.subgraph t.dag name;
-    hashes = t.hashes;
+    nodes;
+    dag = lazy (Dag.subgraph dag name);
+    hashes =
+      lazy
+        (let all = Lazy.force t.hashes in
+         Smap.mapi (fun n _ -> Smap.find n all) nodes);
   }
 
 let topological_order t =
-  match Dag.topological_sort t.dag with
+  match Dag.topological_sort (Lazy.force t.dag) with
   | Ok order -> order
-  | Error _ -> assert false (* validated acyclic in [make] *)
+  | Error _ -> assert false (* validated acyclic in [make] and [compose] *)
 
 let dag_hash t name =
   if Smap.mem name t.nodes then Smap.find name (Lazy.force t.hashes)
   else invalid_arg (Printf.sprintf "Concrete.dag_hash: no node %s" name)
 
 let root_hash t = dag_hash t t.root
+
+(* The dependencies' values are already valid DAGs, so the union is one
+   too unless two of them hold different nodes of one name, or one holds
+   the new node's own name (a cycle or a second configuration of it). *)
+let compose n deps =
+  let rec mismatch names deps =
+    match (names, deps) with
+    | [], [] -> None
+    | name :: names, d :: deps when d.root = name -> mismatch names deps
+    | name :: _, _ -> Some name
+    | [], d :: _ -> Some d.root
+  in
+  match mismatch n.deps deps with
+  | Some dep -> Error (Missing_dep { node = n.name; dep })
+  | None -> (
+      let clash = ref None in
+      let nodes, hashes =
+        List.fold_left
+          (fun (nodes, hashes) d ->
+            ( Smap.union (fun _ a _ -> Some a) nodes d.nodes,
+              Smap.union
+                (fun name h1 h2 ->
+                  if h1 <> h2 then clash := Some name;
+                  Some h1)
+                hashes (Lazy.force d.hashes) ))
+          (Smap.empty, Smap.empty) deps
+      in
+      match !clash with
+      | Some name -> Error (Duplicate_node name)
+      | None when Smap.mem n.name nodes -> Error (Duplicate_node n.name)
+      | None ->
+          let nodes = Smap.add n.name n nodes in
+          let own = node_hash n (List.map root_hash deps) in
+          Ok
+            {
+              root = n.name;
+              nodes;
+              dag = lazy (build_dag (List.map snd (Smap.bindings nodes)));
+              hashes = Lazy.from_val (Smap.add n.name own hashes);
+            })
 
 let as_ast_node n =
   let cname, cver = n.compiler in
@@ -192,7 +248,7 @@ let to_string t =
 let tree_string t =
   Dag.to_tree
     ~pp_node:(fun name -> node_to_string (node_exn t name))
-    ~root:t.root t.dag
+    ~root:t.root (Lazy.force t.dag)
 
 let equal_node a b =
   a.name = b.name
@@ -211,43 +267,55 @@ let equal a b = a.root = b.root && Smap.equal equal_node a.nodes b.nodes
 
 module Json = Ospack_json.Json
 
-let node_to_json n =
+(* a node's own fields, with [deps] rendered by the caller: dependency
+   names in a whole DAG, name -> DAG hash in a node table *)
+let node_fields n ~deps =
   let cname, cver = n.compiler in
-  Json.Obj
-    [
-      ("name", Json.String n.name);
-      ("version", Json.String (Version.to_string n.version));
-      ( "compiler",
-        Json.Obj
-          [
-            ("name", Json.String cname);
-            ("version", Json.String (Version.to_string cver));
-          ] );
-      ( "variants",
-        Json.Obj
-          (Smap.bindings n.variants
-          |> List.map (fun (v, on) -> (v, Json.Bool on))) );
-      ("arch", Json.String n.arch);
-      ("deps", Json.List (List.map (fun d -> Json.String d) n.deps));
-      ( "provided",
-        Json.List
-          (List.map
-             (fun (virt, vl) ->
-               Json.Obj
-                 [
-                   ("name", Json.String virt);
-                   ("versions", Json.String (Vlist.to_string vl));
-                 ])
-             n.provided) );
-    ]
+  [
+    ("name", Json.String n.name);
+    ("version", Json.String (Version.to_string n.version));
+    ( "compiler",
+      Json.Obj
+        [
+          ("name", Json.String cname);
+          ("version", Json.String (Version.to_string cver));
+        ] );
+    ( "variants",
+      Json.Obj
+        (Smap.bindings n.variants |> List.map (fun (v, on) -> (v, Json.Bool on)))
+    );
+    ("arch", Json.String n.arch);
+    ("deps", deps);
+    ( "provided",
+      Json.List
+        (List.map
+           (fun (virt, vl) ->
+             Json.Obj
+               [
+                 ("name", Json.String virt);
+                 ("versions", Json.String (Vlist.to_string vl));
+               ])
+           n.provided) );
+  ]
 
 let to_json t =
+  let node_to_json n =
+    Json.Obj
+      (node_fields n ~deps:(Json.List (List.map (fun d -> Json.String d) n.deps)))
+  in
   Json.Obj
     [
       ("format", Json.Int 1);
       ("root", Json.String t.root);
       ("nodes", Json.List (List.map node_to_json (nodes t)));
     ]
+
+let entry_to_json t name =
+  let n = node_exn t name in
+  Json.Obj
+    (node_fields n
+       ~deps:
+         (Json.Obj (List.map (fun d -> (d, Json.String (dag_hash t d))) n.deps)))
 
 let ( let* ) = Result.bind
 
@@ -261,7 +329,18 @@ let version_of_json what s =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "spec json: bad version %S in %s" s what)
 
-let node_of_json j =
+let all_ok f items =
+  List.fold_left
+    (fun acc item ->
+      let* xs = acc in
+      let* x = f item in
+      Ok (x :: xs))
+    (Ok []) items
+  |> Result.map List.rev
+
+(* the inverse of [node_fields]: the node with no deps, and the raw [deps]
+   field for the caller to read in its own form *)
+let node_fields_of_json j =
   let* name = field "node" j "name" Json.get_string in
   let what = "node " ^ name in
   let* version_s = field what j "version" Json.get_string in
@@ -289,55 +368,118 @@ let node_of_json j =
     | _ -> Error (Printf.sprintf "spec json: missing %s.variants" what)
   in
   let* arch = field what j "arch" Json.get_string in
-  let* deps =
-    match Option.bind (Json.member "deps" j) Json.to_list with
-    | None -> Error (Printf.sprintf "spec json: missing %s.deps" what)
-    | Some items ->
-        List.fold_left
-          (fun acc item ->
-            let* ds = acc in
-            match Json.get_string item with
-            | Some d -> Ok (d :: ds)
-            | None -> Error (Printf.sprintf "spec json: bad dep in %s" what))
-          (Ok []) items
-        |> Result.map List.rev
-  in
   let* provided =
     match Option.bind (Json.member "provided" j) Json.to_list with
     | None -> Ok []
     | Some items ->
-        List.fold_left
-          (fun acc item ->
-            let* ps = acc in
+        all_ok
+          (fun item ->
             let* vname = field what item "name" Json.get_string in
             let* vers = field what item "versions" Json.get_string in
             match Vlist.of_string vers with
-            | vl -> Ok ((vname, vl) :: ps)
+            | vl -> Ok (vname, vl)
             | exception Invalid_argument _ ->
                 Error
                   (Printf.sprintf "spec json: bad provided versions in %s" what))
-          (Ok []) items
-        |> Result.map List.rev
+          items
   in
-  Ok { name; version; compiler = (cname, cver); variants; arch; deps; provided }
+  Ok
+    ( { name; version; compiler = (cname, cver); variants; arch; deps = []; provided },
+      Json.member "deps" j )
 
+let node_of_json j =
+  let* n, deps = node_fields_of_json j in
+  match Option.bind deps Json.to_list with
+  | None -> Error (Printf.sprintf "spec json: missing node %s.deps" n.name)
+  | Some items ->
+      let* deps =
+        all_ok
+          (fun item ->
+            match Json.get_string item with
+            | Some d -> Ok d
+            | None -> Error (Printf.sprintf "spec json: bad dep in node %s" n.name))
+          items
+      in
+      Ok { n with deps }
+
+let entry_of_json j =
+  let* n, deps = node_fields_of_json j in
+  match deps with
+  | Some (Json.Obj pairs) ->
+      let* hashes =
+        all_ok
+          (fun (d, h) ->
+            match Json.get_string h with
+            | Some h -> Ok h
+            | None ->
+                Error (Printf.sprintf "node table: bad hash of %s in %s" d n.name))
+          pairs
+      in
+      Ok ({ n with deps = List.map fst pairs }, hashes)
+  | _ -> Error (Printf.sprintf "node table: missing node %s.deps" n.name)
+
+(* Canonical: one value has one serialization. A repeated node name or a
+   node the root does not reach would give a second text, and a second
+   [Concrete.t], the same [root_hash]. *)
 let of_json j =
+  let invalid e = Error (Format.asprintf "spec json: %a" pp_validation_error e) in
   let* root = field "spec" j "root" Json.get_string in
   let* node_items =
     match Option.bind (Json.member "nodes" j) Json.to_list with
     | Some items -> Ok items
     | None -> Error "spec json: missing nodes"
   in
-  let* node_list =
-    List.fold_left
-      (fun acc item ->
-        let* ns = acc in
-        let* n = node_of_json item in
-        Ok (n :: ns))
-      (Ok []) node_items
+  let* node_list = all_ok node_of_json node_items in
+  let names = List.map (fun n -> n.name) node_list in
+  let rec repeated = function
+    | a :: (b :: _ as rest) -> if a = b then Some a else repeated rest
+    | _ -> None
   in
-  match make ~root node_list with
-  | Ok t -> Ok t
-  | Error e -> Error (Format.asprintf "spec json: %a" pp_validation_error e)
+  match repeated (List.sort String.compare names) with
+  | Some name -> invalid (Duplicate_node name)
+  | None -> (
+      match make ~root node_list with
+      | Error e -> invalid e
+      | Ok t -> (
+          let reached = Dag.reachable (Lazy.force t.dag) root in
+          if List.length reached = Smap.cardinal t.nodes then Ok t
+          else
+            invalid
+              (Unreachable
+                 (List.filter (fun n -> not (List.mem n reached)) names
+                 |> List.sort String.compare))))
+
+let of_table ~find memo hash =
+  let rec build path hash =
+    let fail why = Error (hash, "node table: " ^ why) in
+    match Hashtbl.find_opt memo hash with
+    | Some t -> Ok t
+    | None when List.mem hash path ->
+        fail (Printf.sprintf "dependency cycle through %s" hash)
+    | None -> (
+        match find hash with
+        | None -> (
+            match path with
+            | [] -> fail (Printf.sprintf "no node %s" hash)
+            | from :: _ ->
+                Error
+                  ( from,
+                    Printf.sprintf
+                      "node table: no node %s (a dependency of %s)" hash from ))
+        | Some (n, dep_hashes) ->
+            let* deps = all_ok (build (hash :: path)) dep_hashes in
+            match compose n deps with
+            | Error e -> fail (Format.asprintf "%s: %a" hash pp_validation_error e)
+            | Ok t ->
+                let computed = root_hash t in
+                if computed <> hash then
+                  fail
+                    (Printf.sprintf "%s is recorded as %s but hashes to %s"
+                       n.name hash computed)
+                else (
+                  Hashtbl.replace memo hash t;
+                  Ok t))
+  in
+  build [] hash
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -30,6 +30,10 @@ type validation_error =
   | Missing_root of string
   | Missing_dep of { node : string; dep : string }
   | Cyclic of string list
+  | Duplicate_node of string
+      (** a package named twice: refused by {!of_json} and {!of_table} *)
+  | Unreachable of string list
+      (** nodes the root does not reach: refused by {!of_json} *)
 
 val pp_validation_error : Format.formatter -> validation_error -> unit
 
@@ -66,7 +70,7 @@ val dag_hash : t -> string -> string
     basis for unique install prefixes (§3.4.2) and sub-DAG sharing
     (Fig. 9) — two equal sub-DAGs have equal hashes. Memoised per value:
     the first call hashes every node once, later calls (and every
-    {!subspec} of the value, which shares the table) only look it up.
+    {!subspec} of the value, which restricts the table) only look it up.
     Raises [Invalid_argument] for a node outside the value. *)
 
 val root_hash : t -> string
@@ -106,6 +110,34 @@ val to_json : t -> Ospack_json.Json.t
     {!of_json} inverts it exactly, independent of package-file drift. *)
 
 val of_json : Ospack_json.Json.t -> (t, string) result
-(** Parse and re-validate a serialized spec. *)
+(** Parse and re-validate a serialized spec. Only the canonical form is
+    accepted: a repeated node name or a node the root does not reach is
+    refused, since either would give a second value the same hash. *)
+
+(** {2 Node tables}
+
+    The index shards and the lockfile store each DAG node once, keyed by
+    its DAG hash, with its dependencies given by hash. *)
+
+val entry_to_json : t -> string -> Ospack_json.Json.t
+(** One node of the value as a table entry: the node's fields as in
+    {!to_json}, with [deps] an object from dependency name to DAG hash. *)
+
+val entry_of_json : Ospack_json.Json.t -> (node * string list, string) result
+(** The node of an entry and its dependencies' hashes, in [deps] order. *)
+
+val of_table :
+  find:(string -> (node * string list) option) ->
+  (string, t) Hashtbl.t ->
+  string ->
+  (t, string * string) result
+(** Rebuild the value with the given hash from a table ([find] returns a
+    hash's entry). Each node is built once from its dependencies' values
+    and memoised in the given table, so values rebuilt through one memo
+    share their sub-DAGs: a node's value is the union of its
+    dependencies' values plus the node, hashed with one SHA-256 of its
+    identity and its dependencies' hashes. Every node's hash is checked: a missing
+    dependency hash, a hash that does not match its entry, or an invalid
+    node is an error, given with the hash of the entry at fault. *)
 
 val pp : Format.formatter -> t -> unit

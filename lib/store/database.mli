@@ -51,23 +51,35 @@ val shards : t -> string list
 
 val dependents_of : t -> string -> record list
 (** Records whose spec contains the given hash as a {e non-root} node —
-    the installs that would break if it were removed. *)
+    the installs that would break if it were removed — in {!all}'s order.
+    A walk up a reverse-dependency table kept by {!add} and {!remove}, so
+    it relies on every record's dependencies being records too, as the
+    installer and the index loader ensure. *)
+
+val collectable : t -> record list
+(** The implicit records no explicit record needs, in the order [gc]
+    removes them: each is the first, in {!all}'s order, of the implicit
+    records that no record left depends on. *)
 
 val remove : t -> string -> (record, string) result
 (** Remove by hash; fails with a message naming dependents when other
     installed records still depend on it. *)
 
 val to_json : t -> Ospack_json.Json.t
-(** Serialize the whole database (records sorted by name/hash) — the
-    on-disk index the installer maintains so a fresh process can pick up
-    an existing store. *)
-
-val of_json : Ospack_json.Json.t -> (t, string) result
-(** Inverse of {!to_json}. *)
+(** Serialize the whole database (records sorted by name/hash) as one
+    document of {!record_to_json} records. *)
 
 val record_to_json : record -> Ospack_json.Json.t
-(** One record in the same shape {!to_json} uses — the unit the sharded
-    index persists, so a shard file is a plain [records] list. *)
+(** One record in node form — the unit the sharded index persists: the
+    record's own node ({!Ospack_spec.Concrete.entry_to_json}, dependencies
+    by DAG hash), its hash, prefix, flags and build time. The sub-DAG below
+    it is held once, by the records of its dependencies. *)
 
-val record_of_json : Ospack_json.Json.t -> (record, string) result
-(** Inverse of {!record_to_json}. *)
+val records_of_json :
+  (string * Ospack_json.Json.t) list -> (record list, string * string) result
+(** The inverse of {!record_to_json} over a whole index: each item is a
+    record tagged with where it was read from. Each spec is rebuilt from
+    its node and its dependencies' records, memoised by hash, so a shared
+    sub-DAG is built once; each record's hash is checked. An error gives
+    the tag of the record that failed and why (a dangling dependency hash,
+    a wrong hash, a malformed record). *)

@@ -135,7 +135,7 @@ let shard_path t key = index_dir t ^ "/" ^ key ^ ".json"
 let pending_dir t = db_root t ^ "/pending"
 let pending_path t hash = pending_dir t ^ "/" ^ hash
 
-let shard_format = 2
+let shard_format = 3
 
 let mark_dirty t hash =
   t.dirty_shards <- SSet.add (Database.shard_of_hash hash) t.dirty_shards
@@ -216,24 +216,21 @@ let save_index t =
   t.dirty_shards <- SSet.empty;
   Ok ()
 
+(* a shard's records, each tagged with the shard's path, for
+   [Database.records_of_json] to resolve against the whole index *)
 let parse_shard ~path content =
+  let corrupt reason = Error (Store_corrupt { se_path = path; se_reason = reason }) in
   match Json.of_string content with
-  | Error e -> Error (Store_corrupt { se_path = path; se_reason = e })
+  | Error e -> corrupt e
   | Ok j -> (
-      match Json.member "records" j with
-      | Some (Json.List items) ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | item :: rest -> (
-                match Database.record_of_json item with
-                | Ok r -> go (r :: acc) rest
-                | Error e ->
-                    Error (Store_corrupt { se_path = path; se_reason = e }))
-          in
-          go [] items
-      | _ ->
-          Error
-            (Store_corrupt { se_path = path; se_reason = "missing records" }))
+      match
+        (Option.bind (Json.member "format" j) Json.get_int, Json.member "records" j)
+      with
+      | Some f, _ when f <> shard_format ->
+          corrupt (Printf.sprintf "unsupported shard format %d" f)
+      | Some _, Some (Json.List items) -> Ok (List.map (fun i -> (path, i)) items)
+      | None, _ -> corrupt "missing format"
+      | Some _, _ -> corrupt "missing records")
 
 let is_shard_name name =
   String.length name = 7
@@ -323,7 +320,12 @@ let load_index_typed t =
             Ok (List.rev_append records acc))
       shards (Ok [])
   in
-  List.iter (Database.add t.db) (List.rev rev_records);
+  let* records =
+    Result.map_error
+      (fun (path, reason) -> Store_corrupt { se_path = path; se_reason = reason })
+      (Database.records_of_json (List.rev rev_records))
+  in
+  List.iter (Database.add t.db) records;
   t.manifest_shards <- live_shards t;
   (* 2. crash recovery: clear orphaned pending prefixes *)
   let recovered = recover_pending t in
@@ -446,9 +448,11 @@ let discard_partial t ~hash ~prefix =
   | Ok () | Error _ -> ());
   clear_pending t ~hash
 
+(* a node that wrote a pending marker: one built or extracted here *)
+let wrote_marker o = not (o.o_reused || o.o_record.Database.r_external)
+
 let install_node t spec name ~explicit =
-  let sub = Concrete.subspec spec name in
-  let hash = Concrete.root_hash sub in
+  let hash = Concrete.dag_hash spec name in
   Obs.span t.obs ~cat:"install"
     ~args:[ ("node", name); ("hash", hash) ]
     ("install " ^ name)
@@ -469,6 +473,7 @@ let install_node t spec name ~explicit =
           o_cache_miss = false;
         }
   | None ->
+  let sub = Concrete.subspec spec name in
   match external_record t sub name ~explicit with
   | Error e -> Error e
   | Ok (Some record) ->
@@ -544,7 +549,7 @@ let install_node t spec name ~explicit =
       in
       let prefix = prefix_of t spec name in
       let dep_prefix dep =
-        let dep_hash = Concrete.dag_hash sub dep in
+        let dep_hash = Concrete.dag_hash spec dep in
         Option.map
           (fun r -> r.Database.r_prefix)
           (Database.find_by_hash t.db dep_hash)
@@ -606,7 +611,6 @@ let install t ?(explicit = true) spec =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | name :: rest -> (
-        let hash = Concrete.dag_hash spec name in
         match install_node t spec name ~explicit:(explicit && name = root) with
         | Error e ->
             (* crash consistency: the nodes that completed before the
@@ -620,7 +624,8 @@ let install t ?(explicit = true) spec =
             | Error se -> Error (store_error_to_string se)
             | Ok () ->
                 (* the node is durably indexed: retire its intent marker *)
-                clear_pending t ~hash;
+                if wrote_marker outcome then
+                  clear_pending t ~hash:outcome.o_record.Database.r_hash;
                 go (outcome :: acc) rest))
   in
   go [] order
@@ -892,9 +897,10 @@ let install_parallel t ?(explicit = true) ~jobs specs =
       (* crash consistency: persist after every node, success or not; a
          failing persist is catastrophic — the scheduler stops, like the
          process it simulates *)
-      (match save_index t with
-      | Ok () -> clear_pending t ~hash:nd.pn_hash
-      | Error se -> if !persist_error = None then persist_error := Some se);
+      (match (save_index t, result) with
+      | Ok (), Ok o when wrote_marker o -> clear_pending t ~hash:nd.pn_hash
+      | Ok (), _ -> ()
+      | Error se, _ -> if !persist_error = None then persist_error := Some se);
       match result with
       | Ok o ->
           (* a reused record carries its historical build time; replaying
@@ -1125,7 +1131,18 @@ let splice t ~hash ~replacement =
           (fun acc n ->
             let* acc = acc in
             let name = n.Concrete.name in
-            if not (in_replacement name && hash_changed name) then Ok acc
+            if not (hash_changed name) then
+              (* the alias and spliced records depend on it by hash *)
+              if Database.find_by_hash t.db (Concrete.dag_hash spliced name) <> None
+              then Ok acc
+              else
+                Error
+                  (Printf.sprintf
+                     "splice: dependency %s/%s is not installed (install it \
+                      first)"
+                     name
+                     (Concrete.dag_hash spliced name))
+            else if not (in_replacement name) then Ok acc
             else
               let new_h = Concrete.dag_hash spliced name in
               match Database.find_by_hash t.db new_h with
@@ -1177,36 +1194,51 @@ let splice t ~hash ~replacement =
               | Ok resolved ->
                   (* alias records: intermediate nodes rehashed only
                      because a transitive dependency changed keep their
-                     existing prefixes under the new hash *)
-                  List.iter
-                    (fun n ->
-                      let name = n.Concrete.name in
-                      if
+                     existing prefixes under the new hash. A record holds
+                     only its dependencies' hashes, so each alias is
+                     persisted before any record above it, dependencies
+                     first, exactly as install does: a crash between two
+                     shard writes never leaves a durable record with a
+                     dangling dependency. *)
+                  let aliases =
+                    List.filter
+                      (fun name ->
                         name <> root_name
                         && (not (in_replacement name))
                         && in_orig name && hash_changed name
                         && Database.find_by_hash t.db
                              (Concrete.dag_hash spliced name)
-                           = None
-                      then
-                        let external_ =
-                          match
-                            Database.find_by_hash t.db
-                              (Concrete.dag_hash orig name)
-                          with
-                          | Some r -> r.Database.r_external
-                          | None -> false
-                        in
-                        add_record t
-                          {
-                            Database.r_spec = Concrete.subspec spliced name;
-                            r_hash = Concrete.dag_hash spliced name;
-                            r_prefix = old_prefix name;
-                            r_explicit = false;
-                            r_external = external_;
-                            r_build_seconds = 0.0;
-                          })
-                    (Concrete.nodes spliced);
+                           = None)
+                      (Concrete.topological_order spliced)
+                  in
+                  let* () =
+                    match
+                      List.fold_left
+                        (fun acc name ->
+                          let* () = acc in
+                          let external_ =
+                            match
+                              Database.find_by_hash t.db
+                                (Concrete.dag_hash orig name)
+                            with
+                            | Some r -> r.Database.r_external
+                            | None -> false
+                          in
+                          add_record t
+                            {
+                              Database.r_spec = Concrete.subspec spliced name;
+                              r_hash = Concrete.dag_hash spliced name;
+                              r_prefix = old_prefix name;
+                              r_explicit = false;
+                              r_external = external_;
+                              r_build_seconds = 0.0;
+                            };
+                          save_index t)
+                        (Ok ()) aliases
+                    with
+                    | Ok () -> Ok ()
+                    | Error se -> fail_with (store_error_to_string se)
+                  in
                   let record =
                     {
                       Database.r_spec = spliced;

@@ -231,7 +231,9 @@ val splice :
     overrides same-named nodes; every node above it recomputes its
     hash); the cached entry re-extracts into the new root prefix with
     RPATHs rewired to the replacement's installed prefixes. Replaced
-    nodes must already be installed — splicing never builds. Intermediate
+    nodes, and every node the splice leaves unchanged, must already be
+    installed — splicing never builds, and the index never records a
+    dependency it does not hold. Intermediate
     nodes rehashed only because a transitive dependency changed are not
     rebuilt: they register alias records mapping the new hash onto the
     old prefix, keeping the spliced DAG fully resolvable. The operation
@@ -245,9 +247,12 @@ val splice :
     The database persists as hash-prefix shards
     ([<install_root>/.spack-db/index/<2-hex>.json] — first two hex
     characters of the record hash) plus a manifest listing the live
-    shard set, each file written via {!Ospack_vfs.Vfs.write_atomic}. Only shards
-    holding changed records are rewritten on a save, so per-node index
-    cost is proportional to the change, not the store. A pending marker
+    shard set, each file written via {!Ospack_vfs.Vfs.write_atomic}. A
+    shard (format 3) holds each record in node form
+    ({!Database.record_to_json}): its own node and its dependencies' DAG
+    hashes, so each DAG node is stored once. Only shards holding changed
+    records are rewritten on a save, so per-node index cost is
+    proportional to the change, not the store. A pending marker
     ([.spack-db/pending/<hash>]) brackets every prefix materialization;
     {!load_index} removes any prefix whose marker survived without an
     index entry, so a reloaded store is always a prefix of the completed
@@ -260,7 +265,8 @@ type store_error =
       se_cause : Ospack_vfs.Vfs.error;
     }
   | Store_corrupt of { se_path : string; se_reason : string }
-      (** unparsable shard or manifest *)
+      (** unparsable shard or manifest, a shard of another format, or a
+          record whose hash or dependency hashes do not check out *)
 
 val store_error_to_string : store_error -> string
 
@@ -282,7 +288,10 @@ val load_index : t -> (int, string) result
 (** Merge the records of the on-disk index into this installer's database
     — how a fresh process picks up an existing store on the same
     filesystem. Reads every shard named by the manifest or present in the
-    index directory, runs pending-marker crash recovery (orphaned
+    index directory and rebuilds each record's spec from the records of
+    its dependencies, each sub-DAG once; a dangling dependency hash or a
+    hash that does not match its node fails the load ([Store_corrupt]).
+    Then runs pending-marker crash recovery (orphaned
     prefixes are deleted and counted on the [db.recovered_orphans] obs
     counter) and sweeps [.tmp] litter. Returns the number of records
     merged ([Ok 0] when no index exists yet). *)

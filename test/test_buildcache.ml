@@ -25,6 +25,8 @@ let repo =
       make_pkg "libdwarf" [ version "20130729"; depends_on "libelf" ];
       make_pkg "libelf" [ version "0.8.13"; version "0.8.12" ];
       make_pkg "zlib" [ version "1.2.8" ];
+      make_pkg "callpath" [ version "1.0"; depends_on "dyninst" ];
+      make_pkg "mpileaks" [ version "1.0"; depends_on "callpath" ];
     ]
 
 let compilers = Compilers.create [ Compilers.toolchain "gcc" "4.9.2" ]
@@ -430,6 +432,68 @@ let splice_roundtrip () =
       Alcotest.(check bool) "non-dependency splice refused" true
         (Astring.String.is_infix ~affix:"does not depend on" e)
 
+(* a crash at any write barrier of a splice leaves a store that reloads:
+   index records hold only their dependencies' hashes, so the alias
+   records (callpath, dyninst and libdwarf all rehash when libelf is
+   swapped under mpileaks) must become durable before anything above
+   them. A rerun of the splice then converges. *)
+let splice_crash_sweep () =
+  let ( let* ) = Result.bind in
+  let target = concretize "mpileaks" in
+  let old_hash = Concrete.root_hash target in
+  let replacement = concretize "libelf@0.8.12" in
+  let installer vfs =
+    Installer.create ~vfs ~repo ~compilers
+      ~cache:(Buildcache.create vfs ~root:"/cache") ()
+  in
+  let world () =
+    let vfs = Vfs.create () in
+    let inst = installer vfs in
+    let step name r =
+      match r with Ok _ -> () | Error e -> Alcotest.failf "%s: %s" name e
+    in
+    step "install mpileaks" (Installer.install inst target);
+    step "push" (Installer.push_to_cache inst (Buildcache.create vfs ~root:"/cache"));
+    step "install libelf@0.8.12" (Installer.install inst replacement);
+    vfs
+  in
+  let splice vfs =
+    let inst = installer vfs in
+    let* _ = Installer.load_index inst in
+    Installer.splice inst ~hash:old_hash ~replacement
+  in
+  let sweep =
+    Vfs.crash_sweep ~world ~run:splice (fun reference k vfs ->
+        let* _ =
+          Result.map_error
+            (Printf.sprintf "reload after kill %d: %s" k)
+            (Installer.load_index (installer vfs))
+        in
+        let* () =
+          match splice vfs with
+          | Ok _ -> Ok ()
+          | Error e when Astring.String.is_infix ~affix:"already installed" e
+            ->
+              Ok ()
+          | Error e -> Error ("splice rerun: " ^ e)
+        in
+        let inst = installer vfs in
+        let* _ = Installer.load_index inst in
+        match
+          Database.find_by_hash (Installer.database inst)
+            reference.Installer.sp_new_hash
+        with
+        | Some _ -> Ok ()
+        | None -> Error "rerun left the spliced root unindexed")
+  in
+  match sweep with
+  | Ok (barriers, kills) ->
+      Alcotest.(check bool) "the splice crosses write barriers" true
+        (barriers > 4);
+      Alcotest.(check int) "every barrier was a kill point" barriers
+        (List.length kills)
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "buildcache"
     [
@@ -460,5 +524,9 @@ let () =
             fleet_failover_and_fallback;
         ] );
       ( "splicing",
-        [ Alcotest.test_case "cached binary respliced" `Quick splice_roundtrip ] );
+        [
+          Alcotest.test_case "cached binary respliced" `Quick splice_roundtrip;
+          Alcotest.test_case "splice tortured at every write barrier" `Quick
+            splice_crash_sweep;
+        ] );
     ]

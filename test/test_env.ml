@@ -217,59 +217,77 @@ let locked_replay_survives_drift () =
 let lock_roundtrip () =
   let ctx = Context.create () in
   let env = ok (Environment.create ctx ~name:"rt" ()) in
+  let env = ok (Environment.add ctx env "dyninst") in
   let env = ok (Environment.add ctx env "libdwarf") in
   let pairs = ok (Environment.concretize_roots ctx env) in
   ok (Environment.write_lock ctx env pairs);
   let lock = ok_lock (Environment.read_lock ctx env) in
-  Alcotest.(check (list string)) "roots round-trip" [ "libdwarf" ]
+  Alcotest.(check (list string)) "roots round-trip" [ "dyninst"; "libdwarf" ]
     lock.Environment.lk_roots;
   List.iter2
     (fun (r1, c1) (r2, c2) ->
       Alcotest.(check string) "root" r1 r2;
       Alcotest.(check bool) "concrete round-trips" true (Concrete.equal c1 c2))
-    pairs lock.Environment.lk_specs
+    pairs lock.Environment.lk_specs;
+  (* the libdwarf sub-DAG is shared by both roots: the table holds each
+     distinct node once, whatever the number of roots reaching it *)
+  let distinct =
+    List.concat_map
+      (fun (_, c) ->
+        List.map (fun (n : Concrete.node) -> Concrete.dag_hash c n.Concrete.name)
+          (Concrete.nodes c))
+      pairs
+    |> List.sort_uniq String.compare
+  in
+  let j =
+    Result.get_ok
+      (Json.of_string
+         (Result.get_ok (Vfs.read_file ctx.Context.vfs (Environment.lock_path "rt"))))
+  in
+  (match Json.member "nodes" j with
+  | Some (Json.Obj entries) ->
+      Alcotest.(check (list string)) "one table entry per distinct node" distinct
+        (List.map fst entries)
+  | _ -> Alcotest.fail "lock has no nodes table");
+  Alcotest.(check bool) "more node occurrences than distinct nodes" true
+    (List.fold_left (fun n (_, c) -> n + Concrete.node_count c) 0 pairs
+    > List.length distinct)
 
-let lock_migration_v1 () =
+(* A lockfile of an older format is refused typed, never adopted or
+   rewritten in place; env install then re-solves and writes the current
+   format with the same concrete spec. *)
+let legacy_lock_resolved ~format legacy =
   let ctx = Context.create () in
   let env = ok (Environment.create ctx ~name:"old" ()) in
   let env = ok (Environment.add ctx env "libdwarf") in
   let c = ok (Ospack.spec ctx "libdwarf") in
   let path = Environment.lock_path "old" in
-  (* a legacy format-1 lockfile: bare spec list, no checksum or
-     fingerprint *)
-  let v1 =
-    Json.to_string ~indent:2
-      (Json.Obj
-         [
-           ("format", Json.Int 1);
-           ("specs", Json.List [ Concrete.to_json c ]);
-         ])
-    ^ "\n"
-  in
+  let old_text = Json.to_string ~indent:2 (legacy c) ^ "\n" in
   ok
     (Result.map_error Vfs.error_to_string
-       (Vfs.write_file ctx.Context.vfs path v1));
-  (* it is refused typed, never adopted or rewritten in place *)
+       (Vfs.write_file ctx.Context.vfs path old_text));
   (match Environment.read_lock ctx env with
   | Error (Environment.Lock_corrupt why) ->
-      Alcotest.(check string) "format 1 refused"
-        "unsupported lockfile format 1" why
+      Alcotest.(check string)
+        (Printf.sprintf "format %d refused" format)
+        (Printf.sprintf "unsupported lockfile format %d" format)
+        why
   | Error e ->
-      Alcotest.failf "format 1: expected Lock_corrupt, got %s"
+      Alcotest.failf "format %d: expected Lock_corrupt, got %s" format
         (Environment.lock_error_to_string e)
-  | Ok _ -> Alcotest.fail "format-1 lock adopted");
-  Alcotest.(check string) "format-1 file left as written" v1
+  | Ok _ -> Alcotest.failf "format-%d lock adopted" format);
+  Alcotest.(check string) "old file left as written" old_text
     (Result.get_ok (Vfs.read_file ctx.Context.vfs path));
   (match Environment.install_locked ctx env with
   | Error (Environment.Locked_lock (Environment.Lock_corrupt _)) -> ()
   | Error e ->
-      Alcotest.failf "format-1 replay: expected corrupt, got %s"
+      Alcotest.failf "format-%d replay: expected corrupt, got %s" format
         (Environment.locked_error_to_string e)
-  | Ok _ -> Alcotest.fail "format-1 lock replayed");
-  Alcotest.(check int) "no install from a format-1 lock" 0
+  | Ok _ -> Alcotest.failf "format-%d lock replayed" format);
+  Alcotest.(check int) "no install from an old lock" 0
     (Database.count (Installer.database ctx.Context.installer));
-  (* the migration path is a re-solve: env install writes format 2,
-     fingerprinted and checksummed, with the same concrete spec *)
+  (* the migration path is a re-solve: env install writes the current
+     format, fingerprinted and checksummed, with the same concrete spec *)
   let _ = ok (Environment.install ctx env) in
   let lock = ok_lock (Environment.read_lock ctx env) in
   Alcotest.(check bool) "re-solved spec intact" true
@@ -277,7 +295,7 @@ let lock_migration_v1 () =
   let j =
     Result.get_ok (Json.of_string (Result.get_ok (Vfs.read_file ctx.Context.vfs path)))
   in
-  Alcotest.(check (option int)) "rewritten as format 2"
+  Alcotest.(check (option int)) "rewritten in the current format"
     (Some Environment.lock_format)
     (Option.bind (Json.member "format" j) Json.get_int);
   Alcotest.(check bool) "rewritten file carries a checksum" true
@@ -287,6 +305,34 @@ let lock_migration_v1 () =
   | Error e ->
       Alcotest.failf "re-solved lock replay: %s"
         (Environment.locked_error_to_string e)
+
+(* a legacy format-1 lockfile: bare spec list, no checksum or
+   fingerprint *)
+let lock_migration_v1 () =
+  legacy_lock_resolved ~format:1 (fun c ->
+      Json.Obj [ ("format", Json.Int 1); ("specs", Json.List [ Concrete.to_json c ]) ])
+
+(* a format-2 lockfile: checksummed, each root's whole DAG embedded *)
+let lock_migration_v2 () =
+  legacy_lock_resolved ~format:2 (fun c ->
+      Json.Obj
+        [
+          ("format", Json.Int 2);
+          ("checksum", Json.String "0");
+          ("fingerprint", Json.String "0");
+          ("roots", Json.List [ Json.String "libdwarf" ]);
+          ( "specs",
+            Json.List
+              [
+                Json.Obj
+                  [
+                    ("root", Json.String "libdwarf");
+                    ("hash", Json.String (Concrete.root_hash c));
+                    ("merkle", Json.String "0");
+                    ("concrete", Concrete.to_json c);
+                  ];
+              ] );
+        ])
 
 (* rebuild a tampered lock's checksum so only the targeted inconsistency
    shows — tampering without re-signing is caught by the checksum *)
@@ -344,59 +390,36 @@ let lock_tampering_rejected () =
         (List.map
            (fun (k, v) ->
              match (k, v) with
-             | "specs", Json.List [ Json.Obj spec ] ->
+             | "roots", Json.List [ Json.Obj root ] ->
                  ( k,
                    Json.List
                      [
                        Json.Obj
                          (List.map
-                            (fun (sk, sv) ->
-                              if sk = "hash" then (sk, Json.String "deadbeef")
-                              else (sk, sv))
-                            spec);
+                            (fun (rk, rv) ->
+                              if rk = "hash" then (rk, Json.String "deadbeef")
+                              else (rk, rv))
+                            root);
                      ] )
              | _ -> (k, v))
            fields));
   expect_corrupt "hash flip" (Environment.read_lock ctx env);
-  (* 3. a concrete DAG missing a dependency node (a "missing dep hash")
-     is rejected before any install happens *)
+  (* 3. a table missing a dependency node (a "missing dep hash") is
+     rejected before any install happens *)
   ignore (Vfs.write_file ctx.Context.vfs path pristine);
   with_lock_json ctx "sig" (fun fields ->
       resign
         (List.map
            (fun (k, v) ->
              match (k, v) with
-             | "specs", Json.List [ Json.Obj spec ] ->
+             | "nodes", Json.Obj entries ->
                  ( k,
-                   Json.List
-                     [
-                       Json.Obj
-                         (List.map
-                            (fun (sk, sv) ->
-                              match (sk, sv) with
-                              | "concrete", cj -> (
-                                  match Json.member "nodes" cj with
-                                  | Some (Json.List nodes) ->
-                                      let keep =
-                                        List.filter
-                                          (fun n ->
-                                            Option.bind (Json.member "name" n)
-                                              Json.get_string
-                                            <> Some "libelf")
-                                          nodes
-                                      in
-                                      ( sk,
-                                        Json.Obj
-                                          [
-                                            ("format", Json.Int 1);
-                                            ( "root",
-                                              Json.String "libdwarf" );
-                                            ("nodes", Json.List keep);
-                                          ] )
-                                  | _ -> (sk, sv))
-                              | _ -> (sk, sv))
-                            spec);
-                     ] )
+                   Json.Obj
+                     (List.filter
+                        (fun (_, e) ->
+                          Option.bind (Json.member "name" e) Json.get_string
+                          <> Some "libelf")
+                        entries) )
              | _ -> (k, v))
            fields));
   (match Environment.install_locked ctx env with
@@ -408,6 +431,50 @@ let lock_tampering_rejected () =
   (* pristine file still replays *)
   ignore (Vfs.write_file ctx.Context.vfs path pristine);
   ignore (ok_lock (Environment.read_lock ctx env))
+
+(* A table padded with a node no root reaches is refused: the roots'
+   hashes do not cover it. Nothing is installed from such a lock. *)
+let lock_padded_refused () =
+  let a = Context.create () in
+  let env_a = ok (Environment.create a ~name:"pad" ()) in
+  let env_a = ok (Environment.add a env_a "libdwarf") in
+  let _ = ok (Environment.install a env_a) in
+  let gsl = ok (Ospack.spec a "gsl") in
+  with_lock_json a "pad" (fun fields ->
+      resign
+        (List.map
+           (fun (k, v) ->
+             match (k, v) with
+             | "nodes", Json.Obj entries ->
+                 ( k,
+                   Json.Obj
+                     (entries
+                     @ [ (Concrete.root_hash gsl, Concrete.entry_to_json gsl "gsl") ])
+                 )
+             | _ -> (k, v))
+           fields));
+  let b = Context.create () in
+  let env_b = ok (Environment.create b ~name:"pad" ()) in
+  let env_b = ok (Environment.add b env_b "libdwarf") in
+  copy_lock a b "pad";
+  (match Environment.read_lock b env_b with
+  | Error (Environment.Lock_corrupt why) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "names the unreached node (%s)" why)
+        true
+        (Astring.String.is_infix ~affix:"not reached" why)
+  | Error e ->
+      Alcotest.failf "padded: expected Lock_corrupt, got %s"
+        (Environment.lock_error_to_string e)
+  | Ok _ -> Alcotest.fail "padded lock accepted");
+  (match Environment.install_locked b env_b with
+  | Error (Environment.Locked_lock (Environment.Lock_corrupt _)) -> ()
+  | Error e ->
+      Alcotest.failf "padded replay: expected corrupt, got %s"
+        (Environment.locked_error_to_string e)
+  | Ok _ -> Alcotest.fail "padded lock replayed");
+  Alcotest.(check int) "nothing installed from a padded lock" 0
+    (Database.count (Installer.database b.Context.installer))
 
 let stale_fingerprint_resolves () =
   let a = Context.create () in
@@ -603,10 +670,13 @@ let () =
         ] );
       ( "lockfile",
         [
-          Alcotest.test_case "format-2 round-trip" `Quick lock_roundtrip;
+          Alcotest.test_case "format-3 round-trip" `Quick lock_roundtrip;
           Alcotest.test_case "format-1 migration" `Quick lock_migration_v1;
+          Alcotest.test_case "format-2 migration" `Quick lock_migration_v2;
           Alcotest.test_case "tampering rejected typed" `Quick
             lock_tampering_rejected;
+          Alcotest.test_case "padded node table refused" `Quick
+            lock_padded_refused;
           Alcotest.test_case "stale fingerprint forces re-solve" `Quick
             stale_fingerprint_resolves;
           Alcotest.test_case "recipe drift is stale" `Quick

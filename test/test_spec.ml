@@ -8,6 +8,7 @@ module Parser = Ospack_spec.Parser
 module Printer = Ospack_spec.Printer
 module Constraint_ops = Ospack_spec.Constraint_ops
 module Concrete = Ospack_spec.Concrete
+module Json = Ospack_json.Json
 module Version = Ospack_version.Version
 module Vlist = Ospack_version.Vlist
 
@@ -552,8 +553,7 @@ let concrete_hash_memo () =
   in
   agrees "subspec of parsed" (Concrete.subspec parsed "mpi-impl");
   agrees "parsed" parsed;
-  (* the shared table holds the parent's nodes; a subspec still refuses
-     every name outside its own sub-DAG *)
+  (* a subspec refuses every name outside its own sub-DAG *)
   List.iter
     (fun outside ->
       Alcotest.check_raises ("no " ^ outside ^ " under libx")
@@ -565,6 +565,119 @@ let concrete_hash_memo () =
     (Concrete.equal c (sample ()));
   Alcotest.(check bool) "unhashed equals hashed" true
     (Concrete.equal (sample ()) parsed)
+
+(* One value, one serialization: a repeated node or a node the root does
+   not reach would share the value's root hash, so [of_json] refuses
+   both. *)
+let concrete_canonical_json () =
+  let c = sample () in
+  let with_nodes f =
+    match Concrete.to_json c with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               match (k, v) with
+               | "nodes", Json.List nodes -> (k, Json.List (f nodes))
+               | _ -> (k, v))
+             fields)
+    | _ -> Alcotest.fail "spec json is not an object"
+  in
+  let refused what affix j =
+    match Concrete.of_json j with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s refused (%s)" what e)
+          true
+          (Astring.String.is_infix ~affix e)
+  in
+  (match Concrete.of_json (Concrete.to_json c) with
+  | Ok parsed -> Alcotest.(check bool) "canonical form accepted" true (Concrete.equal c parsed)
+  | Error e -> Alcotest.failf "of_json: %s" e);
+  refused "duplicate node" "libz appears more than once"
+    (with_nodes (fun nodes -> nodes @ [ List.nth nodes 2 ]));
+  let stray =
+    match Concrete.make ~root:"stray" [ cnode "stray" "0.1" ] with
+    | Ok s -> Concrete.to_json s
+    | Error _ -> Alcotest.fail "invalid"
+  in
+  let stray_node =
+    match Json.member "nodes" stray with
+    | Some (Json.List [ n ]) -> n
+    | _ -> Alcotest.fail "stray has one node"
+  in
+  refused "unreachable node" "does not reach stray"
+    (with_nodes (fun nodes -> nodes @ [ stray_node ]))
+
+(* The node table: each node once, keyed by hash, dependencies by hash. *)
+let concrete_node_table () =
+  let c = sample () in
+  let entries =
+    List.map
+      (fun (n : Concrete.node) ->
+        let name = n.Concrete.name in
+        match Concrete.entry_of_json (Concrete.entry_to_json c name) with
+        | Ok e -> (Concrete.dag_hash c name, e)
+        | Error e -> Alcotest.failf "entry %s: %s" name e)
+      (Concrete.nodes c)
+  in
+  let rebuild ?(memo = Hashtbl.create 8) entries hash =
+    Concrete.of_table ~find:(fun h -> List.assoc_opt h entries) memo hash
+  in
+  let memo = Hashtbl.create 8 in
+  (match rebuild ~memo entries (Concrete.root_hash c) with
+  | Ok v ->
+      Alcotest.(check bool) "rebuilt equals the value" true (Concrete.equal c v);
+      List.iter
+        (fun (n : Concrete.node) ->
+          let name = n.Concrete.name in
+          Alcotest.(check string) ("hash of " ^ name) (Concrete.dag_hash c name)
+            (Concrete.dag_hash v name))
+        (Concrete.nodes c);
+      Alcotest.(check int) "each node built once" 4 (Hashtbl.length memo);
+      Alcotest.(check bool) "sub-DAG value shared, not rebuilt" true
+        (match rebuild ~memo [] (Concrete.dag_hash c "libx") with
+        | Ok libx -> Concrete.equal libx (Concrete.subspec c "libx")
+        | Error _ -> false)
+  | Error (_, e) -> Alcotest.failf "of_table: %s" e);
+  let refused what affix entries hash =
+    match rebuild entries hash with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error (_, e) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s refused (%s)" what e)
+          true
+          (Astring.String.is_infix ~affix e)
+  in
+  let libz = Concrete.dag_hash c "libz" in
+  refused "dangling dependency hash" ("no node " ^ libz)
+    (List.remove_assoc libz entries) (Concrete.root_hash c);
+  let bumped =
+    List.map
+      (fun (h, ((n : Concrete.node), deps)) ->
+        if h = libz then (h, ({ n with Concrete.version = Version.of_string "9" }, deps))
+        else (h, (n, deps)))
+      entries
+  in
+  refused "hash mismatch" "hashes to" bumped (Concrete.root_hash c);
+  (* an entry whose dependency hashes name other packages than its deps,
+     and two configurations of one package under one root *)
+  let libx = Concrete.dag_hash c "libx" and mpi = Concrete.dag_hash c "mpi-impl" in
+  let app, _ = List.assoc (Concrete.root_hash c) entries in
+  refused "dependencies out of order" "depends on libx"
+    (("top", (app, [ mpi; libx ])) :: entries)
+    "top";
+  let other_libz =
+    match Concrete.make ~root:"libz" [ cnode "libz" "4.0" ] with
+    | Ok z -> Concrete.root_hash z
+    | Error _ -> Alcotest.fail "invalid"
+  in
+  refused "two configurations of libz" "libz appears more than once"
+    (("top", (cnode "top" "1" ~deps:[ "libx"; "libz" ], [ libx; other_libz ]))
+    :: (other_libz, (cnode "libz" "4.0", []))
+    :: entries)
+    "top"
 
 let concrete_rendering () =
   let c = sample () in
@@ -611,5 +724,7 @@ let () =
           Alcotest.test_case "hashes memoised per value" `Quick
             concrete_hash_memo;
           Alcotest.test_case "rendering" `Quick concrete_rendering;
+          Alcotest.test_case "canonical json" `Quick concrete_canonical_json;
+          Alcotest.test_case "node table" `Quick concrete_node_table;
         ] );
     ]

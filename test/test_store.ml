@@ -88,6 +88,103 @@ let dependents_tracking () =
   Alcotest.(check bool) "remove root ok" true
     (Result.is_ok (Database.remove db (hash_of "mpileaks")))
 
+(* [dependents_of] walks a reverse-dependency table and [collectable]
+   simulates gc over it; both must agree with the brute-force scans they
+   replaced (every record's DAG searched for the hash; gc as "remove the
+   first implicit record nothing depends on, repeat") on a seeded store
+   with implicit records spread through it. *)
+let brute_dependents db hash =
+  Database.all db
+  |> List.filter (fun r ->
+         r.Database.r_hash <> hash
+         && List.exists
+              (fun n ->
+                n.Concrete.name <> Concrete.root r.Database.r_spec
+                && Concrete.dag_hash r.Database.r_spec n.Concrete.name = hash)
+              (Concrete.nodes r.Database.r_spec))
+
+let dependents_oracle () =
+  let rng = Random.State.make [| 16 |] in
+  let n = 40 in
+  let pkg i = Printf.sprintf "q%02d" i in
+  let gen_repo =
+    Repository.create
+      (List.init n (fun i ->
+           let deps =
+             if i = 0 then []
+             else
+               List.sort_uniq compare
+                 (List.init (Random.State.int rng 4) (fun _ ->
+                      Random.State.int rng i))
+           in
+           make_pkg (pkg i)
+             ([ version "1.0"; version "2.0" ]
+             @ List.map (fun d -> depends_on (pkg d)) deps)))
+  in
+  let gen_cctx = Concretizer.make_ctx ~compilers gen_repo in
+  let inst = Installer.create ~vfs:(Vfs.create ()) ~repo:gen_repo ~compilers () in
+  for _ = 1 to 30 do
+    let spec =
+      Printf.sprintf "%s@%d.0" (pkg (Random.State.int rng n)) (1 + Random.State.int rng 2)
+    in
+    match Concretizer.concretize_string gen_cctx spec with
+    | Ok c -> (
+        match Installer.install inst c with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "install %s: %s" spec e)
+    | Error e -> Alcotest.failf "concretize %s: %s" spec e
+  done;
+  let names records =
+    List.map (fun r -> Concrete.root r.Database.r_spec ^ "/" ^ r.Database.r_hash) records
+  in
+  (* the same records with every third explicit root made implicit *)
+  let copy () =
+    let db = Database.create () in
+    List.iteri
+      (fun i r ->
+        Database.add db
+          { r with Database.r_explicit = r.Database.r_explicit && i mod 3 <> 0 })
+      (Database.all (Installer.database inst));
+    db
+  in
+  let db = copy () in
+  Alcotest.(check bool) "a store worth checking" true (Database.count db > 30);
+  List.iter
+    (fun r ->
+      let h = r.Database.r_hash in
+      Alcotest.(check (list string)) ("dependents of " ^ h)
+        (names (brute_dependents db h))
+        (names (Database.dependents_of db h)))
+    (Database.all db);
+  let brute_gc = copy () in
+  let rec collect acc =
+    match
+      List.find_opt
+        (fun r ->
+          (not r.Database.r_explicit)
+          && brute_dependents brute_gc r.Database.r_hash = [])
+        (Database.all brute_gc)
+    with
+    | None -> List.rev acc
+    | Some r -> (
+        match Database.remove brute_gc r.Database.r_hash with
+        | Ok r -> collect (r :: acc)
+        | Error e -> Alcotest.failf "remove: %s" e)
+  in
+  let expected = collect [] in
+  Alcotest.(check bool) "gc has work" true (List.length expected > 5);
+  Alcotest.(check (list string)) "gc order" (names expected)
+    (names (Database.collectable db));
+  (* removing in that order empties the same set: every removal succeeds *)
+  List.iter
+    (fun r ->
+      match Database.remove db r.Database.r_hash with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "collectable order: %s" e)
+    (Database.collectable db);
+  Alcotest.(check (list string)) "same survivors" (names (Database.all brute_gc))
+    (names (Database.all db))
+
 (* --- installer --- *)
 
 let bottom_up_install () =
@@ -119,6 +216,22 @@ let bottom_up_install () =
       Alcotest.(check bool) (prefix ^ " has spec file") true
         (Provenance.read_spec vfs ~prefix <> None))
     outcomes
+
+(* A reused node wrote no pending marker, so it removes none: installing
+   an already installed DAG again, serial or -j, writes and unlinks
+   nothing. *)
+let reuse_touches_nothing () =
+  let vfs, inst = fresh () in
+  let c = concretize "mpileaks ^mpich" in
+  ignore (install inst "mpileaks ^mpich");
+  Vfs.reset_counters vfs;
+  ignore (install inst "mpileaks ^mpich");
+  (match Installer.install_parallel inst ~jobs:2 [ c ] with
+  | Ok r -> Alcotest.(check int) "no failures" 0 (List.length r.Installer.pr_failures)
+  | Error e -> Alcotest.failf "install -j2: %s" e);
+  let n = Vfs.counters vfs in
+  Alcotest.(check (pair int int)) "writes, unlinks" (0, 0)
+    (n.Vfs.write, n.Vfs.unlink)
 
 (* Fig. 9: installing with a second MPI reuses the dyninst sub-DAG *)
 let subdag_reuse () =
@@ -458,6 +571,147 @@ let buildcache_stale_links_and_dirs () =
   Alcotest.(check string) "squatting file replaced by the link"
     "/r2/pkg/bin/tool" (link_target ())
 
+(* An index shard is trusted only as far as its hashes check out: a
+   record whose dependency hash no shard holds, a record whose node does
+   not hash to its recorded hash, and a shard of another format each
+   fail the load with Store_corrupt naming the shard. *)
+let corrupt_shards_refused () =
+  let vfs, inst = fresh () in
+  ignore (install inst "dyninst");
+  let db = Installer.database inst in
+  let record name =
+    match Database.find_by_name db name with
+    | [ r ] -> r
+    | _ -> Alcotest.failf "expected one %s" name
+  in
+  let dyninst = record "dyninst" and libelf = record "libelf" in
+  let shard_of r = Installer.shard_path inst (Database.shard_of_hash r.Database.r_hash) in
+  let read path = Result.get_ok (Vfs.read_file vfs path) in
+  let pristine = List.map (fun r -> (shard_of r, read (shard_of r))) [ dyninst; libelf ] in
+  let restore () =
+    List.iter (fun (p, c) -> ignore (Vfs.write_file vfs p c)) pristine
+  in
+  let refused what ~path ~affix =
+    let reload = Installer.create ~vfs ~repo ~compilers () in
+    match Installer.load_index reload with
+    | Ok _ -> Alcotest.failf "%s: index loaded" what
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: Store_corrupt at %s (%s)" what path e)
+          true
+          (Astring.String.is_prefix ~affix:("db index: " ^ path ^ ": ") e
+          && Astring.String.is_infix ~affix e)
+  in
+  let render records =
+    Json.to_string ~indent:2
+      (Json.Obj [ ("format", Json.Int 3); ("records", Json.List records) ])
+    ^ "\n"
+  in
+  (* 1. dangling: a shard that lost libelf's record (libelf and dyninst
+     may share a shard, so keep the others) *)
+  let without_libelf =
+    List.filter
+      (fun r -> r.Database.r_hash <> libelf.Database.r_hash)
+      (Database.shard db (Database.shard_of_hash libelf.Database.r_hash))
+  in
+  ignore (Vfs.write_file vfs (shard_of libelf) (render (List.map Database.record_to_json without_libelf)));
+  refused "dangling dependency hash" ~path:(shard_of dyninst)
+    ~affix:("no node " ^ libelf.Database.r_hash);
+  restore ();
+  (* 2. a record whose node was edited no longer hashes to its key *)
+  let edited =
+    List.map
+      (fun r ->
+        let j = Database.record_to_json r in
+        if r.Database.r_hash <> libelf.Database.r_hash then j
+        else
+          match j with
+          | Json.Obj fields ->
+              Json.Obj
+                (List.map
+                   (fun (k, v) ->
+                     match (k, v) with
+                     | "node", Json.Obj nf ->
+                         ( k,
+                           Json.Obj
+                             (List.map
+                                (fun (nk, nv) ->
+                                  if nk = "arch" then (nk, Json.String "elsewhere")
+                                  else (nk, nv))
+                                nf) )
+                     | _ -> (k, v))
+                   fields)
+          | j -> j)
+      (Database.shard db (Database.shard_of_hash libelf.Database.r_hash))
+  in
+  ignore (Vfs.write_file vfs (shard_of libelf) (render edited));
+  refused "wrong hash" ~path:(shard_of libelf) ~affix:"hashes to";
+  restore ();
+  (* 3. a shard written by an older format *)
+  ignore
+    (Vfs.write_file vfs (shard_of libelf)
+       (Json.to_string (Json.Obj [ ("format", Json.Int 2); ("records", Json.List []) ])));
+  refused "format 2 shard" ~path:(shard_of libelf) ~affix:"unsupported shard format 2";
+  restore ();
+  match Installer.load_index (Installer.create ~vfs ~repo ~compilers ()) with
+  | Ok n -> Alcotest.(check int) "pristine shards load" (Database.count db) n
+  | Error e -> Alcotest.failf "pristine: %s" e
+
+(* A whole-DAG reader refuses a DAG padded with a node the root does not
+   reach: the spec.json of a prefix and the spec of a buildcache entry. *)
+let padded_dags_refused () =
+  let vfs, inst = fresh () in
+  ignore (install inst "dyninst");
+  let dyninst = List.hd (Database.find_by_name (Installer.database inst) "dyninst") in
+  let spec = dyninst.Database.r_spec in
+  let pad j =
+    let stray =
+      match Json.member "nodes" (Concrete.to_json (concretize "openmpi")) with
+      | Some (Json.List [ n ]) -> n
+      | _ -> Alcotest.fail "openmpi has one node"
+    in
+    match j with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               match (k, v) with
+               | "nodes", Json.List nodes -> (k, Json.List (nodes @ [ stray ]))
+               | _ -> (k, v))
+             fields)
+    | j -> j
+  in
+  let prefix = dyninst.Database.r_prefix in
+  ignore
+    (Vfs.write_file vfs (prefix ^ "/.spack/spec.json")
+       (Json.to_string ~indent:2 (pad (Concrete.to_json spec))));
+  (match Provenance.read_spec_json vfs ~prefix with
+  | Ok _ -> Alcotest.fail "padded spec.json accepted"
+  | Error e ->
+      Alcotest.(check bool) ("spec.json refused: " ^ e) true
+        (Astring.String.is_infix ~affix:"does not reach openmpi" e));
+  let cache = Ospack_store.Buildcache.create vfs ~root:"/cache" in
+  let hash = dyninst.Database.r_hash in
+  let entry =
+    Json.Obj
+      [
+        ("format", Json.Int 1);
+        ("install_root", Json.String "/r1");
+        ("prefix", Json.String "/r1/pkg");
+        ("spec", pad (Concrete.to_json spec));
+        ("file_count", Json.Int 0);
+        ("files", Json.List []);
+      ]
+  in
+  ignore
+    (Vfs.write_file vfs (Ospack_store.Buildcache.entry_path cache hash) (Json.to_string entry));
+  match Ospack_store.Buildcache.entry_spec cache ~hash with
+  | Ok _ -> Alcotest.fail "padded buildcache entry accepted"
+  | Error e ->
+      let e = Ospack_store.Buildcache.error_to_string e in
+      Alcotest.(check bool) ("buildcache entry refused: " ^ e) true
+        (Astring.String.is_infix ~affix:"does not reach openmpi" e)
+
 (* an entry whose file list disagrees with its recorded count is
    truncated and must not extract *)
 let buildcache_truncated_rejected () =
@@ -714,7 +968,7 @@ let shard_tracking () =
           (render
              (Json.Obj
                 [
-                  ("format", Json.Int 2);
+                  ("format", Json.Int 3);
                   ("records", Json.List (List.map Database.record_to_json records));
                 ]))
           (read (Installer.shard_path !inst key)))
@@ -723,7 +977,7 @@ let shard_tracking () =
       (render
          (Json.Obj
             [
-              ("format", Json.Int 2);
+              ("format", Json.Int 3);
               ("shards", Json.List (List.map (fun k -> Json.String k) live));
             ]))
       (read (Installer.manifest_path !inst));
@@ -809,11 +1063,15 @@ let () =
         [
           Alcotest.test_case "queries" `Quick database_queries;
           Alcotest.test_case "dependents" `Quick dependents_tracking;
+          Alcotest.test_case "dependents and gc order = brute force" `Quick
+            dependents_oracle;
         ] );
       ( "installer",
         [
           Alcotest.test_case "bottom-up install" `Quick bottom_up_install;
           Alcotest.test_case "sub-DAG reuse (Fig. 9)" `Quick subdag_reuse;
+          Alcotest.test_case "reuse writes and unlinks nothing" `Quick
+            reuse_touches_nothing;
           Alcotest.test_case "uninstall safety" `Quick uninstall_safety;
           Alcotest.test_case "provenance (§3.4.3)" `Quick provenance_content;
           Alcotest.test_case "spec.json immune to preference drift" `Quick
@@ -824,6 +1082,9 @@ let () =
             external_spec_mismatch;
           Alcotest.test_case "on-disk index persistence" `Quick
             index_persistence;
+          Alcotest.test_case "corrupt shards refused typed" `Quick
+            corrupt_shards_refused;
+          Alcotest.test_case "padded DAGs refused" `Quick padded_dags_refused;
           Alcotest.test_case "index shards track every mutation" `Quick
             shard_tracking;
           Alcotest.test_case "binary cache with relocation" `Quick
